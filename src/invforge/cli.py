@@ -46,8 +46,12 @@ def _thread_cap():
 
 
 def build_parser():
+    # --machine is accepted before and after the subcommand.  Without
+    # SUPPRESS the subcommand's parser would write its default (False) over
+    # a --machine given before the subcommand; main() supplies the default.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--machine", action="store_true",
+                        default=argparse.SUPPRESS,
                         help="emit stable machine-readable JSON")
     parser = argparse.ArgumentParser(
         prog="invforge",
@@ -354,7 +358,7 @@ def main(argv=None):
         "outputs": outputs,
         "exit_code": exit_code,
     }
-    if args.machine:
+    if getattr(args, "machine", False):
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         _render_human(payload, elapsed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import BoundExceededError, InvForgeError
 from .fields import FieldSpec
-from .groups import FiniteMatrixGroup, automorphism_group
+from .groups import automorphism_group
 from .tables import TableGroup, is_automorphism
 
 H1_ENUMERATION_BOUND = 10 ** 6
@@ -242,10 +242,6 @@ def h1_trivial_for_unipotent_note():
 #   generator = K          (Gamma element index; repeatable, paired with image)
 #   image = perm 0,3,2,1   |  image = aut 5
 # ---------------------------------------------------------------------------
-
-def module_table_of_group(group: FiniteMatrixGroup):
-    return group.table_group()
-
 
 def parse_action_text(text, base_dir=None, group_loader=None):
     gamma = None

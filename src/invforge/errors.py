@@ -31,6 +31,10 @@ class BoundExceededError(InvForgeError):
     """A configured enumeration/size bound was exceeded."""
 
 
+class CertificateError(InvForgeError):
+    """An exact certificate of a computed answer failed to check."""
+
+
 class ModularityError(InvForgeError):
     """Operation requires char 0 or char not dividing the group order."""
 

@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EntryParseError, FieldError
+from .errors import CertificateError, EntryParseError, FieldError
 
 RATIONAL = "rational"
 FINITE = "finite"
@@ -57,7 +57,8 @@ def cyclotomic_coeffs(n):
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _int_poly_divmod(poly, cyclotomic_coeffs(d))
-            assert not rem
+            if rem:
+                raise CertificateError(f"Phi_{d} does not divide z^{n} - 1")
     return tuple(poly)
 
 

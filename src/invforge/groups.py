@@ -7,8 +7,10 @@ deterministic breadth-first closure order, which is part of the contract.
 
 from __future__ import annotations
 
-from .errors import (BoundExceededError, ClosureCapError, InvForgeError,
-                     LinalgError, ModularityError)
+import operator
+
+from .errors import (BoundExceededError, CertificateError, ClosureCapError,
+                     InvForgeError, LinalgError, ModularityError)
 from .fields import parse_element, parse_field_spec
 from .linalg import Matrix, Subspace, commutant_basis, eigenvalue_candidates, kernel
 from . import tables
@@ -18,19 +20,26 @@ DEFAULT_AUT_BOUND = 400
 
 
 class FiniteMatrixGroup:
-    """Closed set of invertible matrices with indexed multiplication."""
+    """Closed set of invertible matrices with indexed multiplication.
+
+    Products are read off the closure's Cayley graph (`_cayley_closure`),
+    never recomputed from matrices.
+    """
 
     __slots__ = ("spec", "n", "elements", "generator_indices", "name",
-                 "_index", "_mult", "_inv", "_orders", "_table", "_cache")
+                 "_index", "_right", "_parent", "_inv", "_orders", "_table",
+                 "_cache")
 
-    def __init__(self, spec, n, elements, generator_indices, name=None):
+    def __init__(self, spec, n, elements, generator_indices, right, parent,
+                 name=None):
         self.spec = spec
         self.n = n
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self.name = name
         self._index = {m.key(): i for i, m in enumerate(self.elements)}
-        self._mult = {}
+        self._right = right
+        self._parent = parent
         self._inv = [None] * len(self.elements)
         self._orders = [None] * len(self.elements)
         self._table = None
@@ -50,25 +59,11 @@ class FiniteMatrixGroup:
                 raise LinalgError("generators must be square, one size, one field")
             if not g.is_invertible():
                 raise LinalgError("singular generator")
-        ident = Matrix.identity(spec, n)
-        elements = [ident]
-        index = {ident.key(): 0}
-        frontier = [ident]
-        while frontier:
-            new_frontier = []
-            for m in frontier:
-                for g in gens:
-                    prod = m * g
-                    if prod.key() not in index:
-                        index[prod.key()] = len(elements)
-                        elements.append(prod)
-                        new_frontier.append(prod)
-                        if len(elements) > cap:
-                            raise ClosureCapError(
-                                f"closure exceeded cap {cap}: group infinite or too large")
-            frontier = new_frontier
-        gen_idx = [index[g.key()] for g in gens]
-        return FiniteMatrixGroup(spec, n, elements, gen_idx, name=name)
+        elements, right, parent = _cayley_closure(
+            Matrix.identity(spec, n), gens, operator.mul, Matrix.key, cap)
+        # right[0][k] is the index of 1 * gens[k]
+        return FiniteMatrixGroup(spec, n, elements, right[0], right, parent,
+                                 name=name)
 
     # -- basics ------------------------------------------------------------
 
@@ -97,13 +92,17 @@ class FiniteMatrixGroup:
         return self._index[key]
 
     def mult(self, i, j):
-        key = (i, j)
-        out = self._mult.get(key)
-        if out is None:
-            prod = self.elements[i] * self.elements[j]
-            out = self._index[prod.key()]
-            self._mult[key] = out
-        return out
+        """Index of elements[i] * elements[j]: j's breadth-first word from i."""
+        if self._table is not None:
+            return self._table.table[i][j]
+        word = []
+        while j:
+            j, k = self._parent[j]
+            word.append(k)
+        right = self._right
+        for k in reversed(word):
+            i = right[i][k]
+        return i
 
     def inverse(self, i):
         if self._inv[i] is None:
@@ -126,12 +125,20 @@ class FiniteMatrixGroup:
         return self._orders[i]
 
     def table_group(self):
-        """Full multiplication table as a TableGroup (same element indexing)."""
+        """Full multiplication table as a TableGroup (same element indexing).
+
+        Row i follows the closure order: with parent[j] = (p, k),
+        i * j = (i * p) * gens[k] = right[row[p]][k], and p < j.
+        """
         if self._table is None:
-            n = self.order
-            self._table = tables.TableGroup(
-                [[self.mult(i, j) for j in range(n)] for i in range(n)],
-                name=self.name)
+            right, edges = self._right, self._parent[1:]
+            rows = []
+            for i in range(self.order):
+                row = [i]
+                for p, k in edges:
+                    row.append(right[row[p]][k])
+                rows.append(row)
+            self._table = tables.TableGroup(rows, name=self.name)
         return self._table
 
     def center_indices(self):
@@ -143,30 +150,8 @@ class FiniteMatrixGroup:
         return [i for i in range(self.order) if self.elements[i].is_scalar()]
 
     def conjugacy_classes(self):
-        """Classes (sorted index tuples) via orbit closure under generators."""
-        key = "conjugacy_classes"
-        if key not in self._cache:
-            assigned = [None] * self.order
-            classes = []
-            gen_pairs = [(g, self.inverse(g)) for g in self.generator_indices]
-            for x in range(self.order):
-                if assigned[x] is not None:
-                    continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    y = frontier.pop()
-                    for g, ginv in gen_pairs:
-                        c = self.mult(self.mult(g, y), ginv)
-                        if c not in orbit:
-                            orbit.add(c)
-                            frontier.append(c)
-                idx = len(classes)
-                for y in orbit:
-                    assigned[y] = idx
-                classes.append(tuple(sorted(orbit)))
-            self._cache[key] = tuple(classes)
-        return self._cache[key]
+        """Classes as sorted index tuples (see TableGroup.conjugacy_classes)."""
+        return self.table_group().conjugacy_classes()
 
     def subgroup_closure(self, indices):
         seen = {0}
@@ -181,13 +166,42 @@ class FiniteMatrixGroup:
         return frozenset(seen)
 
     def subgroup(self, indices, name=None):
-        """Closed subgroup (re-closed for safety) as a new FiniteMatrixGroup."""
-        closed = sorted(self.subgroup_closure(indices))
-        mats = [self.elements[i] for i in closed]
-        gens = [self.elements[i] for i in indices] or [self.elements[0]]
-        sub = FiniteMatrixGroup.close(gens, cap=len(mats) + 1, name=name)
-        assert sub.order == len(mats)
-        return sub
+        """Subgroup generated by `indices`, elements in the order `close`
+        gives for the same generator matrices, found without matrix products."""
+        gens = list(indices) or [0]
+        members, right, parent = _cayley_closure(
+            0, gens, self.mult, lambda x: x, self.order)
+        return FiniteMatrixGroup(self.spec, self.n,
+                                 [self.elements[x] for x in members],
+                                 right[0], right, parent, name=name)
+
+
+def _cayley_closure(one, gens, times, key, cap):
+    """Breadth-first closure of {one} under right multiplication by gens.
+
+    Returns (elements, right, parent) in queue order: right[i][k] is the
+    index of times(elements[i], gens[k]) and parent[j] = (i, k) is the edge
+    that first reached j.
+    """
+    elements = [one]
+    index = {key(one): 0}
+    right, parent = [], [None]
+    for i, x in enumerate(elements):  # grows while iterated: the BFS queue
+        row = []
+        for k, g in enumerate(gens):
+            y = times(x, g)
+            y_key = key(y)
+            j = index.get(y_key)
+            if j is None:
+                j = index[y_key] = len(elements)
+                elements.append(y)
+                parent.append((i, k))
+                if len(elements) > cap:
+                    raise ClosureCapError(
+                        f"closure exceeded cap {cap}: group infinite or too large")
+            row.append(j)
+        right.append(row)
+    return elements, right, parent
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +231,11 @@ def reflection_subgroup(g: FiniteMatrixGroup):
                                        cap=2, name="trivial")
     sub = g.subgroup(refl, name="reflection subgroup")
     # normality: conjugates of pseudo-reflections are pseudo-reflections
-    members = {g.elements[i].key() for i in g.subgroup_closure(refl)}
+    members = g.subgroup_closure(refl)
     for w in refl:
         for gi in g.generator_indices:
-            c = g.mult(g.mult(gi, w), g.inverse(gi))
-            assert g.elements[c].key() in members, "reflection subgroup not normal"
+            if g.mult(g.mult(gi, w), g.inverse(gi)) not in members:
+                raise CertificateError("reflection subgroup not normal")
     return sub
 
 
@@ -269,12 +283,7 @@ def is_diagonalizable_over_k(g: FiniteMatrixGroup):
 
 def elementary_abelian_rank(g: FiniteMatrixGroup, ell):
     """Max r with (Z/ell)^r <= G; 0 if no element of order ell."""
-    return tables.elementary_abelian_rank(_index_table(g), ell)
-
-
-def _index_table(g):
-    """Lazy TableGroup veneer over the group's own mult cache."""
-    return g.table_group()
+    return tables.elementary_abelian_rank(g.table_group(), ell)
 
 
 def automorphism_group(g: FiniteMatrixGroup, bound=DEFAULT_AUT_BOUND):

@@ -11,7 +11,7 @@ as a note rather than computed.
 
 from __future__ import annotations
 
-from .errors import InvForgeError
+from .errors import CertificateError, InvForgeError
 from .groups import (FiniteMatrixGroup, GroupAutomorphism,
                      is_absolutely_irreducible, is_diagonalizable_over_k,
                      outer_classes)
@@ -26,7 +26,7 @@ def intertwiner(group: FiniteMatrixGroup, phi: GroupAutomorphism):
 
     Solves the linear system T rho(g) = rho(phi g) T over the declared field.
     For an absolutely irreducible group any nonzero solution is invertible
-    (asserted); otherwise an invertible element of the solution space is
+    (certified); otherwise an invertible element of the solution space is
     searched on a small deterministic grid of basis combinations.
     """
     spec, n = group.spec, group.n
@@ -51,7 +51,8 @@ def intertwiner(group: FiniteMatrixGroup, phi: GroupAutomorphism):
              for v in ker.basis]
     if is_absolutely_irreducible(group):
         t = basis[0]
-        assert t.is_invertible(), "Schur: nonzero intertwiner must be invertible"
+        if not t.is_invertible():
+            raise CertificateError("Schur: nonzero intertwiner must be invertible")
         return t
     for t in basis:
         if t.is_invertible():
@@ -200,7 +201,8 @@ def normalizer_report(group: FiniteMatrixGroup, aut_bound=None) -> NormalizerRep
             continue
         t = intertwiner(group, rep)
         if t is not None:
-            assert verify_intertwiner(group, rep, t)
+            if not verify_intertwiner(group, rep, t):
+                raise CertificateError("intertwiner fails T g T^(-1) = phi(g)")
             realized.append(RealizedOuter(rep, t))
     center_order = len(group.center_indices())
     notes = [
@@ -394,7 +396,8 @@ def _verify_nonsplit_sample(d, n, r):
     else:
         # (lambda, M) with M orthogonal: (x, y) -> lambda^r M (x, y), z -> lambda z
         m = orthogonal_sample_matrix(d)
-        assert m.det() == one, "orthogonal sample must preserve the form"
+        if m.det() != one:
+            raise CertificateError("orthogonal sample must preserve the form")
         for lam in (spec.from_int(2), spec.from_int(3)):
             new_x, new_y = _apply_pair(m, x, y, lam ** r)
             ok = ok and check_presented_automorphism(rel, [new_x, new_y,

@@ -162,6 +162,26 @@ def test_list_examples_command(capsys):
     assert "e8" in ids and "char2" in ids
 
 
+def test_machine_flag_before_or_after_subcommand(capsys):
+    for argv in (["list-examples"],
+                 ["info", "--group", os.path.join(DATA, "q8.group")]):
+        _, before, _ = run_cli(capsys, "--machine", *argv)
+        _, after, _ = run_cli(capsys, *argv, "--machine")
+        _, human, _ = run_cli(capsys, *argv)
+        assert before == after != human
+        assert json.loads(before)["exit_code"] == 0
+
+
+def test_failed_certificate_is_an_error_exit(capsys, monkeypatch):
+    from invforge import normalizer
+    monkeypatch.setattr(normalizer, "verify_intertwiner", lambda *args: False)
+    code, out, err = run_cli(capsys, "normalizer", "--group",
+                             os.path.join(DATA, "an-split.group"), "--machine")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: intertwiner fails")
+
+
 def test_exit_code_computation_error(capsys):
     code, out, err = run_cli(capsys, "molien", "--group",
                              os.path.join(DATA, "char2.group"),

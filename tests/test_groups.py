@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 
 from invforge.errors import BoundExceededError, ClosureCapError, LinalgError
@@ -5,10 +8,10 @@ from invforge.fields import FieldSpec
 from invforge.groups import (automorphism_group, character_inner_product,
                              close_group, elementary_abelian_rank,
                              is_absolutely_irreducible,
-                             is_diagonalizable_over_k, natural_character,
-                             natural_character_self_product, outer_classes,
-                             parse_group_text, pseudo_reflections,
-                             reflection_subgroup)
+                             is_diagonalizable_over_k, load_group_file,
+                             natural_character, natural_character_self_product,
+                             outer_classes, parse_group_text,
+                             pseudo_reflections, reflection_subgroup)
 from invforge.linalg import Matrix
 from invforge.tables import TableGroup, is_automorphism
 from invforge import corpus
@@ -197,3 +200,126 @@ def test_table_group_cyclic():
     assert t.element_order(1) == 6
     assert t.is_abelian()
     assert len(t.center()) == 6
+
+
+# -- multiplication on the closure's Cayley graph ---------------------------
+
+def _corpus_groups(max_order):
+    """(file name, freshly closed group) for corpus groups of order <= max_order.
+
+    Closing with cap = max_order stops the large groups after a few products.
+    """
+    out = []
+    for fname in sorted(os.listdir(corpus.DATA_DIR)):
+        if not fname.endswith(".group"):
+            continue
+        spec, n, gens, name, cap = load_group_file(
+            os.path.join(corpus.DATA_DIR, fname), close=False)
+        try:
+            out.append((fname, close_group(gens, cap=max_order, name=name)))
+        except ClosureCapError:
+            continue
+    return out
+
+
+def _check_products(g, pairs):
+    """index_of(e_i * e_j) == mult(i, j) == table_group().mult(i, j), exactly.
+
+    mult is read before the table exists, so it walks breadth-first words.
+    """
+    words = [g.mult(i, j) for i, j in pairs]
+    table = g.table_group()
+    for (i, j), w in zip(pairs, words):
+        assert g.index_of(g.elements[i] * g.elements[j]) == w == table.mult(i, j)
+
+
+def _check_all_products(g):
+    fresh = close_group(g.generators())  # no table yet
+    assert [m.key() for m in fresh.elements] == [m.key() for m in g.elements]
+    pairs = [(i, j) for i in range(g.order) for j in range(g.order)]
+    _check_products(fresh, pairs)
+    assert g.table_group().table == fresh.table_group().table
+
+
+def test_cayley_mult_small_corpus_groups():
+    groups = _corpus_groups(12)
+    assert len(groups) == 17
+    for _, g in groups:
+        _check_all_products(g)
+
+
+def test_cayley_mult_fixtures(quaternion, mu3, sign_group, s3_perm,
+                              nonsplit_rotation):
+    for g in (quaternion, mu3, sign_group, s3_perm, nonsplit_rotation):
+        _check_all_products(g)
+
+
+def test_cayley_mult_icosahedral_sample():
+    g = load_group_file(os.path.join(corpus.DATA_DIR, "e8.group"))
+    rng = random.Random(20)
+    pairs = [(i, k) for i in range(g.order) for k in g.generator_indices]
+    pairs += [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(500)]
+    _check_products(g, pairs)
+
+
+def test_cayley_mult_edge_cases():
+    a = Matrix.from_rows(Q, [[0, -1], [1, 0]])
+    with_identity = close_group([Matrix.identity(Q, 2), a])
+    assert with_identity.order == 4
+    assert with_identity.generator_indices[0] == 0
+    repeated = close_group([a, a])
+    assert repeated.order == 4
+    assert repeated.generator_indices[0] == repeated.generator_indices[1]
+    c6 = FieldSpec.cyclotomic(6)
+    one_by_one = close_group([Matrix(c6, [[c6.gen()]])])
+    assert one_by_one.order == 6
+    f5 = FieldSpec.finite_field(5)
+    over_f5 = close_group([Matrix.from_rows(f5, [[1, 1], [0, 1]]),
+                           Matrix.from_rows(f5, [[2, 0], [0, 1]])])
+    assert over_f5.order == 20
+    for g in (with_identity, repeated, one_by_one, over_f5):
+        _check_all_products(g)
+
+
+def test_cayley_table_costs_no_matrix_products(monkeypatch):
+    calls = []
+    product = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return product(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    g = load_group_file(os.path.join(corpus.DATA_DIR, "e8.group"))
+    assert len(calls) == g.order * len(g.generator_indices) == 240
+    calls.clear()
+    g.mult(17, 93)
+    g.table_group()
+    g.subgroup(g.center_indices())
+    assert calls == []
+
+
+def test_subgroup_matches_closure_order():
+    found = []
+    for fname, g in _corpus_groups(12):
+        refl = pseudo_reflections(g)
+        if not refl:
+            continue
+        found.append(fname)
+        sub = reflection_subgroup(g)
+        closed = close_group([g.elements[i] for i in refl])
+        assert sub.elements == closed.elements
+        assert sub.generator_indices == closed.generator_indices
+        _check_all_products(sub)
+    assert found == ["mixed.group", "mu2sq.group", "mu4mod.group",
+                     "po3diag.group", "s3perm.group", "z2mod.group"]
+
+
+def test_conjugacy_classes_partition(quaternion, s3_perm):
+    for g in (quaternion, s3_perm):
+        classes = g.conjugacy_classes()
+        assert sorted(x for cls in classes for x in cls) == list(range(g.order))
+        for cls in classes:
+            for gi in g.generator_indices:
+                assert {g.mult(g.mult(gi, x), g.inverse(gi)) for x in cls} == set(cls)
+    assert [len(c) for c in quaternion.conjugacy_classes()] == [1, 2, 2, 1, 2]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -28,21 +27,6 @@ from .invariants import (find_relation, hilbert_dims, minimal_generators,
 from .normalizer import normalizer_report
 from .poly import parse_polynomial
 from . import corpus
-
-
-def _thread_cap():
-    """INVFORGE_THREADS caps internal parallelism; computation is sequential
-    in this implementation, so the cap is validated and recorded only."""
-    raw = os.environ.get("INVFORGE_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvForgeError(f"INVFORGE_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InvForgeError("INVFORGE_THREADS must be >= 1")
-    return cap
 
 
 def build_parser():
@@ -141,12 +125,8 @@ def build_parser():
 # command implementations: return (outputs dict, all verdicts true?)
 # ---------------------------------------------------------------------------
 
-def _load_group(path):
-    return load_group_file(path)
-
-
 def cmd_info(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     refl = pseudo_reflections(g)
     out = {
         "name": g.name,
@@ -162,19 +142,19 @@ def cmd_info(args):
 
 
 def cmd_hilbert(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     dims = hilbert_dims(g, args.max_degree)
     return {"dims": list(dims.dims)}, True
 
 
 def cmd_molien(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     dims = molien_series(g, args.max_degree)
     return {"dims": list(dims.dims)}, True
 
 
 def cmd_generators(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     gs = minimal_generators(g, d_max=args.max_degree)
     return {
         "degrees": gs.degrees,
@@ -185,7 +165,7 @@ def cmd_generators(args):
 
 
 def cmd_relation(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     gs = minimal_generators(g, d_max=args.max_degree)
     rel = find_relation(gs, args.wdeg_max)
     if rel is None:
@@ -201,7 +181,7 @@ def cmd_relation(args):
 
 
 def cmd_normalizer(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     rep = normalizer_report(g, aut_bound=args.aut_bound)
     out = rep.as_dict()
     out["intertwiners"] = [
@@ -212,19 +192,19 @@ def cmd_normalizer(args):
 
 
 def cmd_fixed_points(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     pts = projective_fixed_points(g)
     return {"count": len(pts), "points": [p.render() for p in pts]}, True
 
 
 def cmd_rank(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     rep = rank_obstruction(g, args.ell)
     return rep.as_dict(), rep.hypothesis_holds
 
 
 def cmd_permmod(args):
-    g = _load_group(args.group)
+    g = load_group_file(args.group)
     verdict = perm_module_irreducible(g, args.p)
     return {"p": args.p, "irreducible": verdict}, True
 
@@ -343,7 +323,6 @@ def main(argv=None):
         return 2
     start = time.time()
     try:
-        _thread_cap()
         outputs, verdicts_true = handler(args)
     except (InvForgeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

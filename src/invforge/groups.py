@@ -12,7 +12,7 @@ import operator
 from .errors import (BoundExceededError, CertificateError, ClosureCapError,
                      InvForgeError, LinalgError, ModularityError)
 from .fields import parse_element, parse_field_spec
-from .linalg import Matrix, Subspace, commutant_basis, eigenvalue_candidates, kernel
+from .linalg import Matrix, commutant_basis, is_split_diagonalizable
 from . import tables
 
 DEFAULT_CLOSURE_CAP = 20000
@@ -245,40 +245,7 @@ def is_absolutely_irreducible(g: FiniteMatrixGroup):
 
 def is_diagonalizable_over_k(g: FiniteMatrixGroup):
     """True iff G is abelian with a full common eigenbasis over the declared field."""
-    gens = g.generators()
-    for i in g.generator_indices:
-        for j in g.generator_indices:
-            if g.mult(i, j) != g.mult(j, i):
-                return False
-    spec, n = g.spec, g.n
-    pieces = [Matrix.identity(spec, n).entries]
-    for m in gens:
-        if m.is_scalar():
-            continue
-        lams = eigenvalue_candidates(m)
-        refined = []
-        for basis in pieces:
-            bt = Matrix(spec, basis).transpose()
-            covered = 0
-            for lam in lams:
-                rest = (m - Matrix.scalar(spec, n, lam)) * bt
-                ker = kernel(rest)
-                if ker.dim == 0:
-                    continue
-                vecs = []
-                for coeff in ker.basis:
-                    vec = [spec.zero()] * n
-                    for c, brow in zip(coeff, basis):
-                        if not c.is_zero():
-                            vec = [a + c * b for a, b in zip(vec, brow)]
-                    vecs.append(vec)
-                sub = Subspace(spec, n, vecs)
-                covered += sub.dim
-                refined.append(sub.basis)
-            if covered != len(basis):
-                return False  # eigenvalues missing over k
-        pieces = refined
-    return True
+    return is_split_diagonalizable(g.generators())
 
 
 def elementary_abelian_rank(g: FiniteMatrixGroup, ell):

@@ -15,7 +15,7 @@ import math
 
 from .errors import InvForgeError, ModularityError
 from .groups import FiniteMatrixGroup, reflection_subgroup
-from .linalg import Matrix, kernel
+from .linalg import EchelonBasis, Matrix, combine_rows, kernel
 from .poly import Polynomial
 
 
@@ -37,6 +37,14 @@ def monomials(nvars, degree):
     return out
 
 
+def coefficient_vector(p, idx):
+    """Coefficients of p over the monomials of idx (monomial -> position)."""
+    vec = [p.spec.zero()] * len(idx)
+    for e, c in p.terms.items():
+        vec[idx[e]] = c
+    return vec
+
+
 def apply_matrix(g: Matrix, f: Polynomial) -> Polynomial:
     """f(g x): substitute x_i -> sum_j g[i][j] x_j."""
     return f.substitute_linear(g.entries)
@@ -47,12 +55,7 @@ def is_invariant(group: FiniteMatrixGroup, f: Polynomial) -> bool:
 
 
 class GradedDims:
-    """Dimension table d -> dim of the degree-d graded piece.
-
-    For homogeneous invariants the graded pieces of the filtration by
-    multiplicity at the origin coincide with the degree pieces, so the
-    two accessors below agree by construction.
-    """
+    """Dimension table d -> dim of the degree-d graded piece."""
 
     __slots__ = ("dims",)
 
@@ -70,10 +73,6 @@ class GradedDims:
 
     def __repr__(self):
         return f"GradedDims({list(self.dims)})"
-
-    def multiplicity_quotient_dims(self):
-        """dims of (multiplicity >= r) / (multiplicity >= r+1) per r."""
-        return self.dims
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +189,7 @@ def _dense_fixed_vectors(spec, basis, images):
                 acc[i] = acc[i] - c
             cols.append(acc)
         ker = kernel(Matrix(spec, cols).transpose())
-        new_rows = []
-        for coeffs in ker.basis:
-            vec = [spec.zero()] * n
-            for c, row in zip(coeffs, current):
-                if not c.is_zero():
-                    vec = [a + c * b for a, b in zip(vec, row)]
-            new_rows.append(vec)
+        new_rows = combine_rows(ker.basis, current)
         if not new_rows:
             return []
         red, pivots = Matrix(spec, new_rows).rref()
@@ -325,29 +318,23 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
         target_dim = mol[d] if mol is not None else None
         if target_dim == 0:
             continue
-        products = _generator_products(group, gens, d, power_cache)
-        span_rows, span_rank = _rref_rows(group.spec, group.n, d, products)
-        if target_dim is not None and span_rank == target_dim:
-            continue
-        space = invariant_space(group, d)
-        if target_dim is None and span_rank == len(space):
-            continue
         basis_order = monomials(group.n, d)
         idx = {e: i for i, e in enumerate(basis_order)}
+        span = EchelonBasis()
+        for p in _generator_products(group, gens, d, power_cache):
+            span.insert(coefficient_vector(p, idx))
+        if target_dim is not None and len(span) == target_dim:
+            continue
+        space = invariant_space(group, d)
+        if target_dim is None and len(span) == len(space):
+            continue
         for f in space:
-            vec = [group.spec.zero()] * len(basis_order)
-            for e, c in f.terms.items():
-                vec[idx[e]] = c
-            residue = _reduce_vec(vec, span_rows)
-            lead = next((i for i, c in enumerate(residue) if not c.is_zero()), None)
-            if lead is None:
+            normalized = span.insert(coefficient_vector(f, idx))
+            if normalized is None:
                 continue
-            inv = residue[lead].inverse()
-            normalized = [c * inv for c in residue]
             terms = {basis_order[i]: c for i, c in enumerate(normalized)
                      if not c.is_zero()}
             gens.append((d, Polynomial(group.spec, group.n, terms)))
-            _insert_row(span_rows, normalized)
     return GeneratorSet(group, gens, d_max)
 
 
@@ -376,42 +363,6 @@ def _generator_products(group, gens, d, power_cache):
 
     rec(0, d, None)
     return [p for p in out if p is not None]
-
-
-def _rref_rows(spec, nvars, d, polys):
-    basis_order = monomials(nvars, d)
-    idx = {e: i for i, e in enumerate(basis_order)}
-    rows = []
-    for p in polys:
-        vec = [spec.zero()] * len(basis_order)
-        for e, c in p.terms.items():
-            vec[idx[e]] = c
-        residue = _reduce_vec(vec, rows)
-        lead = next((i for i, c in enumerate(residue) if not c.is_zero()), None)
-        if lead is not None:
-            inv = residue[lead].inverse()
-            _insert_row(rows, [c * inv for c in residue])
-    return rows, len(rows)
-
-
-def _reduce_vec(vec, rref_rows):
-    vec = list(vec)
-    for row in rref_rows:
-        lead = next(i for i, c in enumerate(row) if not c.is_zero())
-        if not vec[lead].is_zero():
-            f = vec[lead]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
-
-
-def _insert_row(rows, normalized):
-    lead = next(i for i, c in enumerate(normalized) if not c.is_zero())
-    for k, row in enumerate(rows):
-        if not row[lead].is_zero():
-            f = row[lead]
-            rows[k] = [a - f * b for a, b in zip(row, normalized)]
-    rows.append(normalized)
-    rows.sort(key=lambda row: next(i for i, c in enumerate(row) if not c.is_zero()))
 
 
 def scaled_torus_exponents(gs: GeneratorSet):
@@ -491,12 +442,7 @@ def find_relation(gs: GeneratorSet, wdeg_max):
                          else Polynomial.constant(spec, group.n, 1))
         basis_order = monomials(group.n, w)
         idx = {x: i for i, x in enumerate(basis_order)}
-        rows = []
-        for p in evals:
-            vec = [spec.zero()] * len(basis_order)
-            for x, c in p.terms.items():
-                vec[idx[x]] = c
-            rows.append(vec)
+        rows = [coefficient_vector(p, idx) for p in evals]
         ker = kernel(Matrix(spec, rows).transpose())
         if ker.dim:
             coeffs = ker.basis[0]
@@ -598,16 +544,9 @@ def _express_in_basics(spec, nvars, img, basics, degree):
     same = [(i, b) for i, (d, b) in enumerate(basics.generators) if d == degree]
     basis_order = monomials(nvars, degree)
     idx = {e: i for i, e in enumerate(basis_order)}
-    cols = []
-    for _, b in same:
-        vec = [spec.zero()] * len(basis_order)
-        for e, c in b.terms.items():
-            vec[idx[e]] = c
-        cols.append(vec)
-    target = [spec.zero()] * len(basis_order)
-    for e, c in img.terms.items():
-        target[idx[e]] = c
-    aug = Matrix(spec, cols + [target]).transpose()
+    cols = [coefficient_vector(b, idx) for _, b in same]
+    cols.append(coefficient_vector(img, idx))
+    aug = Matrix(spec, cols).transpose()
     red, pivots = aug.rref()
     k = len(same)
     if k in pivots:

@@ -1,12 +1,16 @@
 """Exact dense linear algebra over any FieldSpec.
 
-Row reduction, kernels, characteristic polynomials, eigenspaces, commutant
-algebras and module spinning.  Everything is a pure function of immutable
-values; Subspaces are canonicalized by their reduced row echelon basis, so
-two subspaces are equal iff their rref bases agree.
+Row reduction, incremental echelon bases, kernels, characteristic
+polynomials, joint eigenspaces, intertwiner spaces (commutants are the
+A = B case) and module spinning.  Apart from the growing EchelonBasis,
+everything is a pure function of immutable values; Subspaces are
+canonicalized by their reduced row echelon basis, so two subspaces are
+equal iff their rref bases agree.
 """
 
 from __future__ import annotations
+
+import bisect
 
 from .errors import LinalgError
 from .fields import FieldElement
@@ -277,17 +281,65 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
     def contains(self, vec):
-        residue = _reduce_against(self.spec, list(vec), self.basis)
-        return all(c.is_zero() for c in residue)
+        return not any(EchelonBasis(self.basis).reduce(vec))
 
 
-def _reduce_against(spec, vec, rref_rows):
-    for row in rref_rows:
-        lead = next(i for i, c in enumerate(row) if not c.is_zero())
-        if not vec[lead].is_zero():
+class EchelonBasis:
+    """Incrementally built basis in fully reduced row echelon form.
+
+    Rows are normalized (pivot entry 1), reduced against each other and kept
+    in pivot order, so at every step they equal the rref basis of their span.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows=()):
+        """Start from rows that are already fully reduced, in pivot order."""
+        self.rows = [list(row) for row in rows]
+        self.pivots = [next(i for i, c in enumerate(row) if not c.is_zero())
+                       for row in self.rows]
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """vec minus its components along the pivots (all zero iff in the span)."""
+        vec = list(vec)
+        for lead, row in zip(self.pivots, self.rows):
             f = vec[lead]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return vec
+            if not f.is_zero():
+                vec = [a - f * b for a, b in zip(vec, row)]
+        return vec
+
+    def insert(self, vec):
+        """Add vec to the span; the new normalized row, or None if already in it."""
+        residue = self.reduce(vec)
+        lead = next((i for i, c in enumerate(residue) if not c.is_zero()), None)
+        if lead is None:
+            return None
+        inv = residue[lead].inverse()
+        normalized = [c * inv for c in residue]
+        for k, row in enumerate(self.rows):
+            f = row[lead]
+            if not f.is_zero():
+                self.rows[k] = [a - f * b for a, b in zip(row, normalized)]
+        at = bisect.bisect(self.pivots, lead)
+        self.pivots.insert(at, lead)
+        self.rows.insert(at, normalized)
+        return normalized
+
+
+def combine_rows(coefficients, rows):
+    """The vectors sum_i c_i rows[i], one per coefficient tuple c."""
+    zero = rows[0][0].spec.zero()
+    out = []
+    for coeffs in coefficients:
+        vec = [zero] * len(rows[0])
+        for c, row in zip(coeffs, rows):
+            if not c.is_zero():
+                vec = [a + c * b for a, b in zip(vec, row)]
+        out.append(vec)
+    return out
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -304,10 +356,6 @@ def kernel(m: Matrix) -> Subspace:
             v[pc] = -red.entries[r][f]
         vectors.append(v)
     return Subspace(m.spec, n, vectors)
-
-
-def kernel_dim(m: Matrix) -> int:
-    return m.cols - m.rank()
 
 
 def char_poly(m: Matrix) -> Polynomial:
@@ -464,38 +512,40 @@ def _divisors_of(n):
     return sorted(out)
 
 
+def intertwiner_space(As, Bs):
+    """Basis of {T : T A_i = B_i T for all i}: the rref kernel basis, row-major."""
+    if not As or len(As) != len(Bs):
+        raise LinalgError("intertwiner space needs matching nonempty matrix lists")
+    spec, n = As[0].spec, As[0].rows
+    for m in list(As) + list(Bs):
+        if m.rows != m.cols or m.rows != n or m.spec != spec:
+            raise LinalgError("intertwiner space needs square matrices of one size/field")
+    rows = []
+    zero = spec.zero()
+    for a, b in zip(As, Bs):
+        # (TA - BT)_{ij} linear in T_{rs}: coeff = A_{sj}[r==i] - B_{ir}[s==j]
+        for i in range(n):
+            for j in range(n):
+                row = [zero] * (n * n)
+                for s in range(n):
+                    row[i * n + s] = a.entries[s][j]
+                for r in range(n):
+                    row[r * n + j] = row[r * n + j] - b.entries[i][r]
+                rows.append(row)
+    return [Matrix(spec, [list(v[i * n:(i + 1) * n]) for i in range(n)])
+            for v in kernel(Matrix(spec, rows)).basis]
+
+
 def commutant_basis(mats, n=None, spec=None):
     """Basis of the algebra {X : X A_i = A_i X for all i}.
 
     For an empty list, `n` and `spec` give the ambient matrix size.
     """
     if mats:
-        spec = mats[0].spec
-        n = mats[0].rows
-        for a in mats:
-            if a.rows != a.cols or a.rows != n or a.spec != spec:
-                raise LinalgError("commutant needs square matrices of one size/field")
-    elif n is None or spec is None:
+        return intertwiner_space(mats, mats)
+    if n is None or spec is None:
         raise LinalgError("empty matrix list needs explicit n and spec")
-    if not mats:
-        return [_unit_matrix(spec, n, r, s) for r in range(n) for s in range(n)]
-    rows = []
-    zero = spec.zero()
-    for a in mats:
-        # (XA - AX)_{ij} linear in X_{rs}: coeff = A_{sj}[r==i] - A_{ir}[s==j]
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for s in range(n):
-                    row[i * n + s] = row[i * n + s] + a.entries[s][j]
-                for r in range(n):
-                    row[r * n + j] = row[r * n + j] - a.entries[i][r]
-                rows.append(row)
-    ker = kernel(Matrix(spec, rows))
-    out = []
-    for v in ker.basis:
-        out.append(Matrix(spec, [list(v[i * n:(i + 1) * n]) for i in range(n)]))
-    return out
+    return [_unit_matrix(spec, n, r, s) for r in range(n) for s in range(n)]
 
 
 def _unit_matrix(spec, n, r, s):
@@ -509,35 +559,57 @@ def spin_submodule(mats, v) -> Subspace:
     if all(c.is_zero() for c in v):
         raise LinalgError("spin_submodule needs a nonzero vector")
     spec = mats[0].spec if mats else v[0].spec
-    n = len(v)
-    basis_rows = []
-
-    def insert(vec):
-        residue = _reduce_against(spec, list(vec), basis_rows)
-        lead = next((i for i, c in enumerate(residue) if not c.is_zero()), None)
-        if lead is None:
-            return False
-        inv = residue[lead].inverse()
-        normalized = [c * inv for c in residue]
-        # keep rows reduced against each other so _reduce_against stays exact
-        for i, row in enumerate(basis_rows):
-            if not row[lead].is_zero():
-                f = row[lead]
-                basis_rows[i] = [a - f * b for a, b in zip(row, normalized)]
-        basis_rows.append(normalized)
-        basis_rows.sort(key=lambda row: next(i for i, c in enumerate(row)
-                                             if not c.is_zero()))
-        return True
-
-    insert(v)
+    span = EchelonBasis()
+    span.insert(v)
     queue = [tuple(v)]
     while queue:
         w = queue.pop()
         for m in mats:
             img = m.apply(w)
-            if insert(img):
+            if span.insert(img) is not None:
                 queue.append(img)
-    return Subspace(spec, n, basis_rows)
+    return Subspace(spec, len(v), span.rows)
+
+
+def joint_eigenspaces(mats):
+    """rref bases of the joint eigenspaces of mats over the declared field.
+
+    k^n is refined one matrix at a time: every piece is cut by the
+    eigenspaces of the next matrix for its eigenvalues in the field (a scalar
+    matrix cuts nothing).  Pieces for distinct eigenvalue tuples are
+    independent, so their dimensions sum to n iff the matrices share an
+    eigenbasis over the field.
+    """
+    if not mats:
+        raise LinalgError("need at least one matrix")
+    spec = mats[0].spec
+    n = mats[0].rows
+    pieces = [Matrix.identity(spec, n).entries]
+    for m in mats:
+        if m.is_scalar():
+            continue
+        lams = eigenvalue_candidates(m)
+        refined = []
+        for piece in pieces:
+            bt = Matrix(spec, piece).transpose()
+            for lam in lams:
+                # {w in span(piece) : (m - lam) w = 0} via coefficient kernel
+                ker = kernel((m - Matrix.scalar(spec, n, lam)) * bt)
+                if ker.dim:
+                    refined.append(Subspace(spec, n, combine_rows(ker.basis, piece)).basis)
+        pieces = refined
+        if not pieces:
+            break
+    return pieces
+
+
+def is_split_diagonalizable(mats):
+    """True iff mats commute and share an eigenbasis over the declared field."""
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            if a * b != b * a:
+                return False
+    return sum(len(piece) for piece in joint_eigenspaces(mats)) == mats[0].rows
 
 
 def simultaneous_eigenvectors(mats):
@@ -547,37 +619,8 @@ def simultaneous_eigenvectors(mats):
     ValueError if a joint piece of dimension >= 2 remains (infinitely many
     common eigenlines, e.g. for sets of scalar matrices).
     """
-    if not mats:
-        raise LinalgError("need at least one matrix")
-    spec = mats[0].spec
-    n = mats[0].rows
-    pieces = [Matrix.identity(spec, n).entries]  # list of basis-row tuples
-    for m in mats:
-        if m.is_scalar():
-            continue
-        lams = eigenvalue_candidates(m)
-        refined = []
-        for basis in pieces:
-            bt = Matrix(spec, basis).transpose()
-            for lam in lams:
-                # {w in span(basis) : (m - lam) w = 0} via coefficient kernel
-                rest = (m - Matrix.scalar(spec, n, lam)) * bt
-                ker = kernel(rest)
-                if ker.dim == 0:
-                    continue
-                vecs = []
-                for coeff in ker.basis:
-                    vec = [spec.zero()] * n
-                    for c, brow in zip(coeff, basis):
-                        if not c.is_zero():
-                            vec = [a + c * b for a, b in zip(vec, brow)]
-                    vecs.append(vec)
-                refined.append(Subspace(spec, n, vecs).basis)
-        pieces = refined
-        if not pieces:
-            return []
     out = []
-    for basis in pieces:
+    for basis in joint_eigenspaces(mats):
         if len(basis) >= 2:
             raise ValueError("common eigenvector family is positive-dimensional")
         out.append(tuple(basis[0]))

@@ -11,54 +11,41 @@ as a note rather than computed.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from .errors import CertificateError, InvForgeError
 from .groups import (FiniteMatrixGroup, GroupAutomorphism,
-                     is_absolutely_irreducible, is_diagonalizable_over_k,
+                     is_diagonalizable_over_k, natural_character,
                      outer_classes)
 from .invariants import Relation, check_presented_automorphism
-from .linalg import (Matrix, Subspace, commutant_basis, eigenvalue_candidates,
-                     kernel)
+from .linalg import (Matrix, commutant_basis, intertwiner_space,
+                     is_split_diagonalizable)
 from .poly import Polynomial, parse_polynomial
 
 
 def intertwiner(group: FiniteMatrixGroup, phi: GroupAutomorphism):
     """Invertible T with T g T^(-1) = phi(g) on generators, or None.
 
-    Solves the linear system T rho(g) = rho(phi g) T over the declared field.
-    For an absolutely irreducible group any nonzero solution is invertible
-    (certified); otherwise an invertible element of the solution space is
-    searched on a small deterministic grid of basis combinations.
+    Conjugation preserves traces in every characteristic, so a class with
+    tr rho(g) != tr rho(phi g) for some g is refused before any solve.
+    Otherwise the linear system T rho(g) = rho(phi g) T is solved over the
+    declared field and an invertible element of the solution space is
+    searched among its basis, then on a small deterministic grid of basis
+    combinations.
     """
-    spec, n = group.spec, group.n
-    rows = []
-    zero = spec.zero()
-    for gi in group.generator_indices:
-        a = group.elements[gi]              # rho(g)
-        b = group.elements[phi(gi)]         # rho(phi g)
-        # (TA - BT)_{ij} linear in T_{rs}: coeff = A_{sj}[r==i] - B_{ir}[s==j]
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                for s in range(n):
-                    row[i * n + s] = row[i * n + s] + a.entries[s][j]
-                for r in range(n):
-                    row[r * n + j] = row[r * n + j] - b.entries[i][r]
-                rows.append(row)
-    ker = kernel(Matrix(spec, rows))
-    if ker.dim == 0:
+    chi = natural_character(group)
+    if any(chi[i] != chi[phi(i)] for i in range(group.order)):
         return None
-    basis = [Matrix(spec, [list(v[i * n:(i + 1) * n]) for i in range(n)])
-             for v in ker.basis]
-    if is_absolutely_irreducible(group):
-        t = basis[0]
-        if not t.is_invertible():
-            raise CertificateError("Schur: nonzero intertwiner must be invertible")
-        return t
+    gens = group.generator_indices
+    basis = intertwiner_space([group.elements[gi] for gi in gens],
+                              [group.elements[phi(gi)] for gi in gens])
+    if not basis:
+        return None
     for t in basis:
         if t.is_invertible():
             return t
-    combo = _invertible_combination(spec, basis, n)
-    return combo
+    return _invertible_combination(group.spec, basis, group.n)
 
 
 def _invertible_combination(spec, basis, n):
@@ -68,15 +55,11 @@ def _invertible_combination(spec, basis, n):
     invertible element exists it is nonzero somewhere on the grid (for a
     finite field smaller than the grid, fall back to full enumeration).
     """
-    m = len(basis)
     if spec.kind == "finite" and spec.size() <= n + 1:
         coords = spec.elements()
     else:
         coords = [spec.from_int(k) for k in range(n + 1)]
-    stack = [[]]
-    for _ in range(m):
-        stack = [c + [x] for c in stack for x in coords]
-    for c in stack:
+    for c in itertools.product(coords, repeat=len(basis)):
         t = Matrix.zero(spec, n, n)
         for x, b in zip(c, basis):
             if not x.is_zero():
@@ -147,53 +130,12 @@ class NormalizerReport:
                 f"{len(self.realized_outer)}/{self.outer_class_count - 1})")
 
 
-def _commutant_is_split_torus(spec, n, basis):
-    """True iff the commutant basis commutes and splits over the field.
-
-    Split means simultaneously diagonalizable over the declared field, so the
-    unit group of the algebra is a product of copies of the multiplicative
-    group.
-    """
-    for a in basis:
-        for b in basis:
-            if a * b != b * a:
-                return False
-    pieces = [Matrix.identity(spec, n).entries]
-    for m in basis:
-        if m.is_scalar():
-            continue
-        lams = eigenvalue_candidates(m)
-        refined = []
-        for piece in pieces:
-            bt = Matrix(spec, piece).transpose()
-            covered = 0
-            for lam in lams:
-                rest = (m - Matrix.scalar(spec, n, lam)) * bt
-                ker = kernel(rest)
-                if ker.dim == 0:
-                    continue
-                vecs = []
-                for coeff in ker.basis:
-                    vec = [spec.zero()] * n
-                    for c, brow in zip(coeff, piece):
-                        if not c.is_zero():
-                            vec = [x + c * y for x, y in zip(vec, brow)]
-                    vecs.append(vec)
-                sub = Subspace(spec, n, vecs)
-                covered += sub.dim
-                refined.append(sub.basis)
-            if covered != len(piece):
-                return False
-        pieces = refined
-    return True
-
-
 def normalizer_report(group: FiniteMatrixGroup, aut_bound=None) -> NormalizerReport:
     """Centralizer dimension, torus splitting, realized outer classes, notes."""
     kwargs = {} if aut_bound is None else {"bound": aut_bound}
     commutant = commutant_basis(group.generators())
     cdim = len(commutant)
-    split = _commutant_is_split_torus(group.spec, group.n, commutant)
+    split = is_split_diagonalizable(commutant)
     classes = outer_classes(group, **kwargs)
     realized = []
     for rep in classes:
@@ -278,13 +220,8 @@ def _is_square(d):
     if val < 0:
         return False
     num, den = val.numerator, val.denominator
-    rn, rd = _isqrt(num), _isqrt(den)
+    rn, rd = math.isqrt(num), math.isqrt(den)
     return rn * rn == num and rd * rd == den
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)
 
 
 def graded_aut_of_An(d, n: int) -> AnAutDescription:

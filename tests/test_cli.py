@@ -9,6 +9,13 @@ from invforge.cli import main
 from invforge import corpus
 
 DATA = corpus.DATA_DIR
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REFERENCE = os.path.join(ROOT, "perfbench", "reference")
+E8 = "src/invforge/corpus/data/e8.group"
+GOLDEN = [(name, ["verify", name[len("verify-"):-len(".out")]])
+          for name in sorted(os.listdir(REFERENCE)) if name.startswith("verify-")]
+GOLDEN += [("e8-normalizer.out", ["normalizer", "--group", E8]),
+           ("e8-generators.out", ["generators", "--group", E8])]
 
 
 def run_cli(capsys, *argv):
@@ -285,16 +292,6 @@ def test_machine_roundtrip_lossless(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
-def test_invforge_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("INVFORGE_THREADS", "not-a-number")
-    code, out, err = run_cli(capsys, "square-classes", "--field", "reals")
-    assert code == 1
-    assert "INVFORGE_THREADS" in err
-    monkeypatch.setenv("INVFORGE_THREADS", "2")
-    code, out, err = run_cli(capsys, "square-classes", "--field", "reals")
-    assert code == 0
-
-
 def test_cli_entry_point_subprocess():
     group = os.path.join(DATA, "mu2sq.group")
     proc = subprocess.run(
@@ -314,3 +311,14 @@ def test_machine_output_byte_identical_across_processes():
     second = subprocess.run(argv, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_machine_output_matches_reference(name, argv, capsys, monkeypatch):
+    # the committed reference outputs name group files relative to the repo root
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join(REFERENCE, name), "rb") as fh:
+        want = fh.read()
+    code, out, _ = run_cli(capsys, *argv, "--machine")
+    assert code == 0
+    assert out.encode() == want

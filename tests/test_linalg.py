@@ -5,8 +5,10 @@ import pytest
 
 from invforge.errors import LinalgError
 from invforge.fields import FieldSpec, parse_field_spec
-from invforge.linalg import (Matrix, Subspace, char_poly, commutant_basis,
-                             eigenspace, eval_poly_at_matrix, kernel,
+from invforge.groups import automorphism_group
+from invforge.linalg import (EchelonBasis, Matrix, Subspace, char_poly,
+                             commutant_basis, eigenspace, eval_poly_at_matrix,
+                             intertwiner_space, kernel,
                              simultaneous_eigenvectors, spin_submodule)
 from invforge.poly import parse_polynomial
 
@@ -131,6 +133,37 @@ def test_commutant_closed_under_products(quaternion, mu3):
             for b in basis:
                 prod = a * b
                 assert span.contains([c for row in prod.entries for c in row])
+
+
+def test_intertwiner_space_solves_the_system(quaternion, mu3):
+    for g in (quaternion, mu3):
+        gens = g.generators()
+        for phi in automorphism_group(g):
+            images = [g.elements[phi(i)] for i in g.generator_indices]
+            basis = intertwiner_space(gens, images)
+            assert basis
+            for t in basis:
+                assert all(t * a == b * t for a, b in zip(gens, images))
+        assert intertwiner_space(gens, gens) == commutant_basis(gens)
+
+
+def test_echelon_basis_matches_subspace():
+    rng = random.Random(5)
+    for spec in (Q, FieldSpec.finite_field(5)):
+        for _ in range(10):
+            vectors = [[spec.from_int(rng.randint(-2, 2)) for _ in range(5)]
+                       for _ in range(3)]
+            dependent = [a + b for a, b in zip(vectors[0], vectors[1])]
+            vectors.append(dependent)
+            want = Subspace(spec, 5, vectors).basis
+            for _ in range(3):
+                rng.shuffle(vectors)
+                span = EchelonBasis()
+                for v in vectors:
+                    span.insert(v)
+                assert tuple(tuple(row) for row in span.rows) == want
+                assert span.insert(dependent) is None
+                assert len(span) == len(want)
 
 
 def test_spin_submodule():

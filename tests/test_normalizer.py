@@ -1,10 +1,13 @@
+import subprocess
+import sys
+
 import pytest
 
 from invforge.errors import InvForgeError
 from invforge.fields import FieldSpec
 from invforge.groups import (automorphism_group, character_inner_product,
                              close_group, natural_character, outer_classes)
-from invforge.linalg import Matrix
+from invforge.linalg import Matrix, intertwiner_space
 from invforge.normalizer import (graded_aut_of_An, intertwiner,
                                  normalizer_report, verify_intertwiner)
 from invforge import corpus
@@ -37,6 +40,9 @@ def test_icosahedral_outer_not_realized(icosahedral):
     assert len(classes) == 2
     outer = [c for c in classes if not c.inner][0]
     assert intertwiner(icosahedral, outer) is None
+    gens = icosahedral.generator_indices
+    assert intertwiner_space([icosahedral.elements[i] for i in gens],
+                             [icosahedral.elements[outer(i)] for i in gens]) == []
     chi = natural_character(icosahedral)
     chi_phi = tuple(chi[outer(i)] for i in range(icosahedral.order))
     ip = character_inner_product(icosahedral, chi, chi_phi)
@@ -109,6 +115,33 @@ def test_intertwiner_iff_character_match(quaternion):
         chi_phi = tuple(chi[rep(i)] for i in range(quaternion.order))
         ip = character_inner_product(quaternion, chi, chi_phi).as_rational()
         assert (t is not None) == (ip == 1)
+
+
+TRACE_MISMATCH_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from invforge.fields import FieldSpec
+from invforge.groups import close_group, natural_character, outer_classes
+from invforge.linalg import Matrix
+from invforge.normalizer import intertwiner
+Q = FieldSpec.rationals()
+one, minus = Q.one(), Q.from_int(-1)
+g = close_group([Matrix.diagonal(Q, [minus, one, one, one, one]),
+                 Matrix.diagonal(Q, [one, minus, one, one, one])])
+chi = natural_character(g)
+mismatched = [c for c in outer_classes(g) if not c.inner
+              and any(chi[i] != chi[c(i)] for i in range(g.order))]
+print(len(mismatched), sum(intertwiner(g, c) is None for c in mismatched))
+"""
+
+
+def test_intertwiner_refuses_trace_mismatch_at_once():
+    # without the trace test these classes search grids of up to 6^10
+    # singular matrices; a child process bounds the time and memory
+    proc = subprocess.run([sys.executable, "-c", TRACE_MISMATCH_SCRIPT],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "4"]
 
 
 def test_all_inner_irreducible_reports_scalar_torus(s3_perm):

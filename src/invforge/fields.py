@@ -22,8 +22,20 @@ NUMBER_FIELD = "number_field"
 
 
 # ---------------------------------------------------------------------------
-# univariate integer / F_p polynomial helpers (coefficient lists, c[0] = const)
+# univariate polynomials over Q or F_p (coefficient lists, c[0] = const)
+#
+# One copy of each helper serves both coefficient fields: `red` puts a
+# coefficient in normal form and `inv` inverts a nonzero one.  Over Q they
+# are `_exact` and `_q_inv`; over F_p, the `_red` and `_cinv` of FiniteField.
 # ---------------------------------------------------------------------------
+
+def _exact(c):
+    return c
+
+
+def _q_inv(c):
+    return 1 / Fraction(c)
+
 
 def _trim(coeffs):
     c = list(coeffs)
@@ -32,20 +44,60 @@ def _trim(coeffs):
     return c
 
 
-def _int_poly_divmod(num, den):
-    """Exact divmod of integer-coefficient polynomials; den monic assumed."""
-    num = _trim(num)
-    den = _trim(den)
+def _poly_sub(a, b, red):
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return _trim([red(x - y) for x, y in zip(a, b)])
+
+
+def _poly_mul(a, b, red):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = red(out[i + j] + x * y)
+    return _trim(out)
+
+
+def _poly_divmod(num, den, red, inv):
+    num, den = _trim(map(red, num)), _trim(map(red, den))
+    if not den:
+        raise FieldError("polynomial division by zero")
+    lead_inv = inv(den[-1])
     quo = [0] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
+    rem = num
     while len(rem) >= len(den):
         k = len(rem) - len(den)
-        lead = rem[-1]
-        quo[k] = lead
+        f = quo[k] = red(rem[-1] * lead_inv)
         for i, d in enumerate(den):
-            rem[k + i] -= lead * d
+            rem[k + i] = red(rem[k + i] - f * d)
         rem = _trim(rem)
     return quo, rem
+
+
+def _poly_gcd(a, b, red, inv):
+    """Monic gcd; [] when both are zero."""
+    a, b = _trim(map(red, a)), _trim(map(red, b))
+    while b:
+        a, b = b, _poly_divmod(a, b, red, inv)[1]
+    if a:
+        c = inv(a[-1])
+        a = [red(x * c) for x in a]
+    return a
+
+
+def _poly_powmod(base, e, mod, red, inv):
+    result = [1]
+    base = _poly_divmod(base, mod, red, inv)[1]
+    while e:
+        if e & 1:
+            result = _poly_divmod(_poly_mul(result, base, red), mod, red, inv)[1]
+        base = _poly_divmod(_poly_mul(base, base, red), mod, red, inv)[1]
+        e >>= 1
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -56,68 +108,10 @@ def cyclotomic_coeffs(n):
     poly = [-1] + [0] * (n - 1) + [1]  # z^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _int_poly_divmod(poly, cyclotomic_coeffs(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_coeffs(d), _exact, _q_inv)
             if rem:
                 raise CertificateError(f"Phi_{d} does not divide z^{n} - 1")
-    return tuple(poly)
-
-
-def _modp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _modp_divmod(num, den, p):
-    num = _trim([c % p for c in num])
-    den = _trim([c % p for c in den])
-    if not den:
-        raise FieldError("polynomial division by zero")
-    inv_lead = pow(den[-1], p - 2, p)
-    quo = [0] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    while len(rem) >= len(den):
-        k = len(rem) - len(den)
-        f = (rem[-1] * inv_lead) % p
-        quo[k] = f
-        for i, d in enumerate(den):
-            rem[k + i] = (rem[k + i] - f * d) % p
-        rem = _trim(rem)
-    return quo, rem
-
-
-def _modp_gcd(a, b, p):
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
-    while b:
-        _, r = _modp_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _modp_powmod(base, e, mod, p):
-    result = [1]
-    base = _modp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _modp_divmod(_modp_mul(result, base, p), mod, p)[1]
-        base = _modp_divmod(_modp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _modp_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
+    return tuple(int(c) for c in poly)
 
 
 def is_irreducible_coeffs(coeffs, p):
@@ -126,7 +120,9 @@ def is_irreducible_coeffs(coeffs, p):
     Trial factorization: f of degree m is irreducible iff gcd(f, z^(p^d) - z)
     is trivial for every d <= m/2.
     """
-    f = _trim([c % p for c in coeffs])
+    fp = FiniteField(p=p, modulus=(0, 1))
+    red, inv = fp._red, fp._cinv
+    f = _trim(map(red, coeffs))
     m = len(f) - 1
     if m < 1:
         raise FieldError("irreducibility test needs degree >= 1")
@@ -136,8 +132,8 @@ def is_irreducible_coeffs(coeffs, p):
         return True
     x = [0, 1]
     for d in range(1, m // 2 + 1):
-        frob = _modp_powmod(x, p ** d, f, p)  # z^(p^d) mod f
-        g = _modp_gcd(f, _modp_sub(frob, x, p), p)
+        frob = _poly_powmod(x, p ** d, f, red, inv)  # z^(p^d) mod f
+        g = _poly_gcd(f, _poly_sub(frob, x, red), red, inv)
         if len(g) - 1 >= 1:
             return False
     return True
@@ -152,8 +148,57 @@ def _is_prime(n):
     return True
 
 
+def _divisors(n):
+    out = []
+    for d in range(1, int(math.isqrt(n)) + 1):
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+    return sorted(out)
+
+
+def rational_root_candidates(num, den):
+    """The rational-root theorem's candidates +-r/s for r | num, s | den (both > 0).
+
+    Order: r over the divisors of num, then s over those of den, then +
+    before -; repeats such as 2/2 are not filtered.
+    """
+    for r in _divisors(num):
+        for s in _divisors(den):
+            for sign in (1, -1):
+                yield Fraction(sign * r, s)
+
+
+def _render_fraction(fr):
+    if fr.denominator == 1:
+        return str(fr.numerator)
+    return f"{fr.numerator}/{fr.denominator}"
+
+
+def _signed_fraction(c):
+    """(string of |c|, c < 0) for an int or Fraction coefficient."""
+    return _render_fraction(abs(c)), c < 0
+
+
+def _join_terms(terms):
+    """Entry expression of a sum of (k, |c| string, c < 0) terms c*z^k, in order."""
+    out = []
+    for k, coeff_str, negative in terms:
+        if k == 0:
+            body = coeff_str
+        else:
+            zpow = "z" if k == 1 else f"z^{k}"
+            body = zpow if coeff_str == "1" else f"{coeff_str}*{zpow}"
+        if not out:
+            out.append(f"-{body}" if negative else body)
+        else:
+            out.append(f" - {body}" if negative else f" + {body}")
+    return "".join(out) or "0"
+
+
 # ---------------------------------------------------------------------------
-# field specifications
+# field specifications: one arithmetic kernel per kind
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
@@ -161,19 +206,21 @@ class FieldSpec:
 
     Immutable; use the constructors `rationals`, `finite_field`,
     `number_field`, `cyclotomic`.  Equality and hashing are structural.
+    Each kind is a subclass (RationalField, FiniteField, NumberField) with
+    its own kernel on raw representatives: `_add`, `_sub`, `_neg`, `_mul`,
+    `_is_zero`, `_inv` and the constant constructor `_const`.
     """
 
-    __slots__ = ("kind", "p", "modulus", "cyclotomic_n", "degree",
-                 "_red_table", "_hash")
+    __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_red_table", "_hash")
+    kind = None
 
-    def __init__(self, kind, p=None, modulus=None, cyclotomic_n=None):
-        self.kind = kind
+    def __init__(self, p=None, modulus=None, cyclotomic_n=None):
         self.p = p
         self.modulus = tuple(modulus) if modulus is not None else None
         self.cyclotomic_n = cyclotomic_n
         self.degree = (len(self.modulus) - 1) if self.modulus else 1
         self._red_table = None
-        self._hash = hash((kind, p, self.modulus, cyclotomic_n))
+        self._hash = hash((self.kind, p, self.modulus, cyclotomic_n))
 
     # -- constructors ------------------------------------------------------
 
@@ -199,7 +246,7 @@ class FieldSpec:
                     raise FieldError("finite field modulus is reducible over F_p")
             else:
                 warnings.warn("finite field modulus degree > 12: irreducibility not verified")
-        return FieldSpec(FINITE, p=p, modulus=tuple(mod))
+        return FiniteField(p=p, modulus=mod)
 
     @staticmethod
     def number_field(min_poly):
@@ -209,15 +256,13 @@ class FieldSpec:
         plus modular irreducibility probes); larger degrees are accepted with
         a warning and errors surface later as non-invertible elements.
         """
-        mp = [Fraction(c) for c in min_poly]
-        while mp and mp[-1] == 0:
-            mp.pop()
+        mp = _trim(Fraction(c) for c in min_poly)
         if len(mp) < 2:
             raise FieldError("number field min_poly must have degree >= 1")
         if mp[-1] != 1:
             raise FieldError("number field min_poly must be monic")
         _check_min_poly_irreducible(mp)
-        return FieldSpec(NUMBER_FIELD, modulus=tuple(mp))
+        return NumberField(modulus=mp)
 
     @staticmethod
     def cyclotomic(n):
@@ -225,14 +270,15 @@ class FieldSpec:
         if n < 1:
             raise FieldError(f"cyclotomic index must be >= 1, got {n}")
         coeffs = tuple(Fraction(c) for c in cyclotomic_coeffs(n))
-        return FieldSpec(NUMBER_FIELD, modulus=coeffs, cyclotomic_n=n)
+        return NumberField(modulus=coeffs, cyclotomic_n=n)
 
     # -- basic protocol ------------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec) and self.kind == other.kind
-                and self.p == other.p and self.modulus == other.modulus
-                and self.cyclotomic_n == other.cyclotomic_n)
+        return self is other or (
+            isinstance(other, FieldSpec) and self.kind == other.kind
+            and self.p == other.p and self.modulus == other.modulus
+            and self.cyclotomic_n == other.cyclotomic_n)
 
     def __hash__(self):
         return self._hash
@@ -240,28 +286,18 @@ class FieldSpec:
     def __repr__(self):
         return f"FieldSpec({self.describe()})"
 
-    def describe(self):
-        if self.kind == RATIONAL:
-            return "rational"
-        if self.kind == FINITE:
-            if self.degree == 1:
-                return f"finite({self.p})"
-            mod = render_univariate(self.modulus)
-            return f"finite({self.p}, {mod})"
-        if self.cyclotomic_n is not None:
-            return f"cyclotomic({self.cyclotomic_n})"
-        return f"number_field({render_univariate(self.modulus)})"
-
-    # -- properties ----------------------------------------------------------
+    # -- properties (infinite fields; FiniteField overrides) -----------------
 
     def characteristic(self):
-        return self.p if self.kind == FINITE else 0
+        return 0
 
     def size(self):
         """Number of elements; raises for infinite fields."""
-        if self.kind != FINITE:
-            raise FieldError("infinite field has no size")
-        return self.p ** self.degree
+        raise FieldError("infinite field has no size")
+
+    def elements(self):
+        """All elements of a finite field, in deterministic coefficient order."""
+        raise FieldError("cannot enumerate an infinite field")
 
     def is_cyclotomic(self):
         return self.cyclotomic_n is not None
@@ -269,181 +305,19 @@ class FieldSpec:
     # -- element constructors --------------------------------------------
 
     def zero(self):
-        return FieldElement(self, self._norm_rep(0))
+        return FieldElement(self, self._const(0))
 
     def one(self):
-        return FieldElement(self, self._norm_rep(1))
+        return FieldElement(self, self._const(1))
 
     def from_int(self, k):
-        return FieldElement(self, self._norm_rep(k))
+        return FieldElement(self, self._const(k))
 
     def from_fraction(self, fr):
-        fr = Fraction(fr)
-        if self.kind == RATIONAL:
-            return FieldElement(self, fr)
-        if self.kind == FINITE:
-            den = fr.denominator % self.p
-            if den == 0:
-                raise FieldError("denominator not invertible in finite field")
-            val = (fr.numerator * pow(den, self.p - 2, self.p)) % self.p
-            return FieldElement(self, self._const_tuple(val))
-        return FieldElement(self, self._const_tuple(fr))
+        return FieldElement(self, self._const(fr))
 
-    def gen(self):
-        """The class of z (only meaningful for extension representations)."""
-        if self.kind == RATIONAL:
-            raise FieldError("rational field has no generator z")
-        if self.degree == 1:
-            # z reduces to a constant modulo a degree-1 modulus
-            if self.kind == FINITE:
-                return FieldElement(self, self._const_tuple((-self.modulus[0]) % self.p))
-            return FieldElement(self, self._const_tuple(-self.modulus[0]))
-        rep = [0] * self.degree
-        rep[1] = 1
-        if self.kind == FINITE:
-            return FieldElement(self, tuple(rep))
-        return FieldElement(self, tuple(Fraction(c) for c in rep))
-
-    def _const_tuple(self, c):
-        rep = [0] * self.degree
-        if self.kind == FINITE:
-            rep[0] = int(c) % self.p
-            return tuple(rep)
-        rep = [Fraction(0)] * self.degree
-        rep[0] = Fraction(c)
-        return tuple(rep)
-
-    def _norm_rep(self, k):
-        if self.kind == RATIONAL:
-            return Fraction(k)
-        return self._const_tuple(k)
-
-    def elements(self):
-        """All elements of a finite field, in deterministic coefficient order."""
-        if self.kind != FINITE:
-            raise FieldError("cannot enumerate an infinite field")
-        reps = [()]
-        for _ in range(self.degree):
-            reps = [r + (c,) for r in reps for c in range(self.p)]
-        return [FieldElement(self, r) for r in reps]
-
-    def random_element(self, rng, height=10):
-        if self.kind == RATIONAL:
-            den = rng.randint(1, height)
-            return FieldElement(self, Fraction(rng.randint(-height, height), den))
-        if self.kind == FINITE:
-            return FieldElement(self, tuple(rng.randrange(self.p)
-                                            for _ in range(self.degree)))
-        return FieldElement(self, tuple(Fraction(rng.randint(-height, height))
-                                        for _ in range(self.degree)))
-
-    # -- representative arithmetic ----------------------------------------
-
-    def _reduction_table(self):
-        # image of z^k for k = deg .. 2*deg-2, for fast products
-        if self._red_table is None:
-            deg = self.degree
-            table = []
-            if self.kind == FINITE:
-                tail = [(-c) % self.p for c in self.modulus[:deg]]
-            else:
-                tail = [-c for c in self.modulus[:deg]]
-            cur = list(tail)  # z^deg
-            table.append(tuple(cur))
-            for _ in range(deg - 2):
-                # multiply by z and reduce
-                carry = cur[-1]
-                cur = [0] + cur[:-1]
-                if carry:
-                    cur = [a + carry * t for a, t in zip(cur, tail)]
-                    if self.kind == FINITE:
-                        cur = [c % self.p for c in cur]
-                table.append(tuple(cur))
-            self._red_table = table
-        return self._red_table
-
-    def _add(self, a, b):
-        if self.kind == RATIONAL:
-            return a + b
-        if self.kind == FINITE:
-            return tuple((x + y) % self.p for x, y in zip(a, b))
-        return tuple(x + y for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        if self.kind == RATIONAL:
-            return a - b
-        if self.kind == FINITE:
-            return tuple((x - y) % self.p for x, y in zip(a, b))
-        return tuple(x - y for x, y in zip(a, b))
-
-    def _neg(self, a):
-        if self.kind == RATIONAL:
-            return -a
-        if self.kind == FINITE:
-            return tuple((-x) % self.p for x in a)
-        return tuple(-x for x in a)
-
-    def _mul(self, a, b):
-        if self.kind == RATIONAL:
-            return a * b
-        deg = self.degree
-        if deg == 1:
-            v = a[0] * b[0]
-            return ((v % self.p,) if self.kind == FINITE else (v,))
-        prod = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        table = self._reduction_table()
-        out = prod[:deg]
-        for k in range(deg, 2 * deg - 1):
-            c = prod[k]
-            if c:
-                row = table[k - deg]
-                out = [o + c * r for o, r in zip(out, row)]
-        if self.kind == FINITE:
-            return tuple(c % self.p for c in out)
-        return tuple(Fraction(c) for c in out)
-
-    def _is_zero(self, a):
-        if self.kind == RATIONAL:
-            return a == 0
-        return all(c == 0 for c in a)
-
-    def _inv(self, a):
-        if self._is_zero(a):
-            raise FieldError("division by zero")
-        if self.kind == RATIONAL:
-            return 1 / a
-        # extended Euclid against the modulus: find s with s*a = gcd mod modulus
-        if self.kind == FINITE:
-            r0, r1 = list(self.modulus), _trim([c % self.p for c in a])
-            s0, s1 = [], [1]
-            while len(r1) > 1:
-                q, r = _modp_divmod(r0, r1, self.p)
-                s_new = _modp_sub(s0, _modp_mul(q, s1, self.p), self.p)
-                r0, r1, s0, s1 = r1, r, s1, s_new
-                if not r1:
-                    raise FieldError("element not invertible (reducible modulus?)")
-            cinv = pow(r1[0], self.p - 2, self.p)
-            inv = [(x * cinv) % self.p for x in s1]
-            inv = (inv + [0] * self.degree)[: self.degree]
-            return tuple(inv)
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = _trim_frac([Fraction(c) for c in a])
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            s_new = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s_new
-            if not r1:
-                raise FieldError("element not invertible (reducible min_poly?)")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        inv = (inv + [Fraction(0)] * self.degree)[: self.degree]
-        return tuple(inv)
+    def _as_rational(self, rep):
+        raise FieldError("element is not a rational constant")
 
     def conjugate_element(self, elt):
         """Complex conjugation z -> z^(n-1) on a cyclotomic field."""
@@ -455,48 +329,243 @@ class FieldSpec:
         power = self.one()
         for c in elt.rep:
             if c:
-                out = out + FieldElement(self, self._const_tuple(c)) * power
+                out = out + FieldElement(self, self._const(c)) * power
             power = power * zbar
         return out
 
 
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _trim_frac([x - y for x, y in zip(a, b)])
+class RationalField(FieldSpec):
+    """Q; a representative is a reduced Fraction."""
+
+    __slots__ = ()
+    kind = RATIONAL
+
+    def describe(self):
+        return "rational"
+
+    def _const(self, c):
+        return Fraction(c)
+
+    def gen(self):
+        raise FieldError("rational field has no generator z")
+
+    def random_element(self, rng, height=10):
+        den = rng.randint(1, height)
+        return FieldElement(self, Fraction(rng.randint(-height, height), den))
+
+    def _add(self, a, b):
+        return a + b
+
+    def _sub(self, a, b):
+        return a - b
+
+    def _neg(self, a):
+        return -a
+
+    def _mul(self, a, b):
+        return a * b
+
+    def _is_zero(self, a):
+        return a == 0
+
+    def _inv(self, a):
+        if a == 0:
+            raise FieldError("division by zero")
+        return 1 / a
+
+    def _as_rational(self, rep):
+        return rep
+
+    def _render(self, rep):
+        return _render_fraction(rep)
 
 
-def _trim_frac(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+class _ExtensionField(FieldSpec):
+    """What F_p[z]/(m) and Q[z]/(m) share: a representative is the tuple of
+    coefficients of z^0 .. z^(deg m - 1), each in normal form (`_red`)."""
+
+    __slots__ = ()
+
+    def gen(self):
+        """The class of z."""
+        if self.degree == 1:
+            # z reduces to a constant modulo a degree-1 modulus
+            return FieldElement(self, self._const(-self.modulus[0]))
+        rep = list(self._const(0))
+        rep[1] = self._const(1)[0]
+        return FieldElement(self, tuple(rep))
+
+    def _is_zero(self, a):
+        return not any(a)
+
+    def _reduction_table(self):
+        # image of z^k for k = deg .. 2*deg-2, for fast products
+        if self._red_table is None:
+            red = self._red
+            tail = [red(-c) for c in self.modulus[:self.degree]]
+            cur = list(tail)  # z^deg
+            table = [tuple(cur)]
+            for _ in range(self.degree - 2):
+                # multiply by z and reduce
+                carry = cur[-1]
+                cur = [0] + cur[:-1]
+                if carry:
+                    cur = [red(a + carry * t) for a, t in zip(cur, tail)]
+                table.append(tuple(cur))
+            self._red_table = table
+        return self._red_table
+
+    def _product(self, a, b):
+        """a * b reduced modulo the modulus (degree >= 2), before `_red`."""
+        deg = self.degree
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        out = prod[:deg]
+        for c, row in zip(prod[deg:], self._reduction_table()):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        return out
+
+    def _inv(self, a):
+        if not any(a):
+            raise FieldError("division by zero")
+        # extended Euclid against the modulus: find s with s*a = gcd mod modulus
+        red, cinv = self._red, self._cinv
+        r0, r1 = list(self.modulus), _trim(a)
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1, red, cinv)
+            r0, r1, s0, s1 = r1, r, s1, _poly_sub(s0, _poly_mul(q, s1, red), red)
+            if not r1:
+                raise FieldError(
+                    f"element not invertible (reducible {self._modulus_name}?)")
+        c = cinv(r1[0])
+        s1 += [0] * self.degree
+        return tuple(red(x * c) for x in s1[:self.degree])
+
+    def _render(self, rep):
+        return _join_terms((k,) + self._render_coeff(c)
+                           for k, c in enumerate(rep) if c)
 
 
-def _frac_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim_frac(out)
+class FiniteField(_ExtensionField):
+    """F_p[z]/(modulus), F_p itself for modulus z; coefficients are ints mod p."""
+
+    __slots__ = ()
+    kind = FINITE
+    _modulus_name = "modulus"
+
+    def describe(self):
+        if self.degree == 1:
+            return f"finite({self.p})"
+        return f"finite({self.p}, {render_univariate(self.modulus)})"
+
+    def characteristic(self):
+        return self.p
+
+    def size(self):
+        """Number of elements."""
+        return self.p ** self.degree
+
+    def elements(self):
+        """All elements, in deterministic coefficient order."""
+        reps = [()]
+        for _ in range(self.degree):
+            reps = [r + (c,) for r in reps for c in range(self.p)]
+        return [FieldElement(self, r) for r in reps]
+
+    def _red(self, c):
+        return c % self.p
+
+    def _cinv(self, c):
+        return pow(c, self.p - 2, self.p)
+
+    def _const(self, c):
+        rep = [0] * self.degree
+        rep[0] = int(c) % self.p
+        return tuple(rep)
+
+    def from_fraction(self, fr):
+        fr = Fraction(fr)
+        den = fr.denominator % self.p
+        if den == 0:
+            raise FieldError("denominator not invertible in finite field")
+        return FieldElement(self, self._const(fr.numerator * self._cinv(den)))
+
+    def random_element(self, rng, height=10):
+        return FieldElement(self, tuple(rng.randrange(self.p)
+                                        for _ in range(self.degree)))
+
+    def _add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def _sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def _neg(self, a):
+        p = self.p
+        return tuple((-x) % p for x in a)
+
+    def _mul(self, a, b):
+        p = self.p
+        if self.degree == 1:
+            return ((a[0] * b[0]) % p,)
+        return tuple(c % p for c in self._product(a, b))
+
+    @staticmethod
+    def _render_coeff(c):
+        return str(c), False
 
 
-def _frac_poly_divmod(num, den):
-    num, den = _trim_frac(num), _trim_frac(den)
-    quo = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    while len(rem) >= len(den):
-        k = len(rem) - len(den)
-        f = rem[-1] / den[-1]
-        quo[k] = f
-        for i, d in enumerate(den):
-            rem[k + i] -= f * d
-        rem = _trim_frac(rem)
-    return quo, rem
+class NumberField(_ExtensionField):
+    """Q[z]/(min_poly), cyclotomic when cyclotomic_n is set; coefficients are Fractions."""
+
+    __slots__ = ()
+    kind = NUMBER_FIELD
+    _modulus_name = "min_poly"
+    _red = staticmethod(_exact)
+    _cinv = staticmethod(_q_inv)
+    _render_coeff = staticmethod(_signed_fraction)
+
+    def describe(self):
+        if self.cyclotomic_n is not None:
+            return f"cyclotomic({self.cyclotomic_n})"
+        return f"number_field({render_univariate(self.modulus)})"
+
+    def _const(self, c):
+        rep = [Fraction(0)] * self.degree
+        rep[0] = Fraction(c)
+        return tuple(rep)
+
+    def random_element(self, rng, height=10):
+        return FieldElement(self, tuple(Fraction(rng.randint(-height, height))
+                                        for _ in range(self.degree)))
+
+    def _add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def _sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def _neg(self, a):
+        return tuple(-x for x in a)
+
+    def _mul(self, a, b):
+        if self.degree == 1:
+            return (a[0] * b[0],)
+        return tuple(Fraction(c) for c in self._product(a, b))
+
+    def _as_rational(self, rep):
+        if any(rep[1:]):
+            raise FieldError("element is not a rational constant")
+        return rep[0]
+
 
 
 def _check_min_poly_irreducible(mp):
@@ -514,36 +583,23 @@ def _check_min_poly_irreducible(mp):
     lead, const = ip[-1], ip[0]
     if const == 0:
         raise FieldError("min_poly is reducible over Q (root 0)")
-    for r in _divisors(abs(const)):
-        for s in _divisors(abs(lead)):
-            for sign in (1, -1):
-                root = Fraction(sign * r, s)
-                if sum(c * root ** i for i, c in enumerate(mp)) == 0:
-                    raise FieldError(f"min_poly is reducible over Q (root {root})")
+    for root in rational_root_candidates(abs(const), abs(lead)):
+        if sum(c * root ** i for i, c in enumerate(mp)) == 0:
+            raise FieldError(f"min_poly is reducible over Q (root {root})")
     # modular probes: one irreducible reduction certifies irreducibility over Q
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         if lead % p == 0 or den % p == 0:
             continue
         dinv = pow(den % p, p - 2, p)
-        red = [(c * dinv) % p for c in ip]
-        if len(_trim(red)) - 1 != deg:
+        reduced = [(c * dinv) % p for c in ip]
+        if len(_trim(reduced)) - 1 != deg:
             continue
-        if is_irreducible_coeffs(red, p):
+        if is_irreducible_coeffs(reduced, p):
             return
     warnings.warn("min_poly irreducibility over Q not certified by modular probes")
 
 
-def _divisors(n):
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
-_RATIONALS = FieldSpec(RATIONAL)
+_RATIONALS = RationalField()
 
 
 # ---------------------------------------------------------------------------
@@ -655,48 +711,14 @@ class FieldElement:
 
     def as_rational(self):
         """The element as a Fraction, if it is a rational constant."""
-        if self.spec.kind == RATIONAL:
-            return self.rep
-        if self.spec.kind == NUMBER_FIELD and all(c == 0 for c in self.rep[1:]):
-            return self.rep[0]
-        raise FieldError("element is not a rational constant")
+        return self.spec._as_rational(self.rep)
 
     def render(self):
         """Canonical string in the entry grammar; parse_element round-trips it."""
-        if self.spec.kind == RATIONAL:
-            return _render_fraction(self.rep)
-        parts = []
-        for k, c in enumerate(self.rep):
-            if c == 0:
-                continue
-            parts.append((k, c))
-        if not parts:
-            return "0"
-        out = []
-        for idx, (k, c) in enumerate(parts):
-            if self.spec.kind == FINITE:
-                coeff_str, negative = str(c), False
-            else:
-                coeff_str, negative = _render_fraction(abs(c)), c < 0
-            if k == 0:
-                body = coeff_str
-            else:
-                zpow = "z" if k == 1 else f"z^{k}"
-                body = zpow if coeff_str == "1" else f"{coeff_str}*{zpow}"
-            if idx == 0:
-                out.append(f"-{body}" if negative else body)
-            else:
-                out.append(f" - {body}" if negative else f" + {body}")
-        return "".join(out)
+        return self.spec._render(self.rep)
 
     def __repr__(self):
         return f"<{self.render()} in {self.spec.describe()}>"
-
-
-def _render_fraction(fr):
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -812,23 +834,8 @@ def _parse_atom(toks, spec):
 
 def render_univariate(coeffs):
     """Render an integer/Fraction coefficient list as an entry expression in z."""
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        c = Fraction(c)
-        coeff_str, negative = _render_fraction(abs(c)), c < 0
-        if k == 0:
-            body = coeff_str
-        else:
-            zpow = "z" if k == 1 else f"z^{k}"
-            body = zpow if coeff_str == "1" else f"{coeff_str}*{zpow}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f" - {body}" if negative else f" + {body}")
-    return "".join(parts) if parts else "0"
+    return _join_terms((k,) + _signed_fraction(coeffs[k])
+                       for k in range(len(coeffs) - 1, -1, -1) if coeffs[k] != 0)
 
 
 def is_irreducible_mod_p(f):

@@ -19,16 +19,17 @@ DEFAULT_CLOSURE_CAP = 20000
 DEFAULT_AUT_BOUND = 400
 
 
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(tables.IndexedGroup):
     """Closed set of invertible matrices with indexed multiplication.
 
     Products are read off the closure's Cayley graph (`_cayley_closure`),
-    never recomputed from matrices.
+    never recomputed from matrices.  The identity is element 0.
     """
 
     __slots__ = ("spec", "n", "elements", "generator_indices", "name",
                  "_index", "_right", "_parent", "_inv", "_orders", "_table",
                  "_cache")
+    identity = 0
 
     def __init__(self, spec, n, elements, generator_indices, right, parent,
                  name=None):
@@ -78,10 +79,6 @@ class FiniteMatrixGroup:
         nm = self.name or "group"
         return f"<{nm}: order {self.order} in GL_{self.n}({self.spec.describe()})>"
 
-    @property
-    def identity_index(self):
-        return 0
-
     def generators(self):
         return [self.elements[i] for i in self.generator_indices]
 
@@ -103,26 +100,6 @@ class FiniteMatrixGroup:
         for k in reversed(word):
             i = right[i][k]
         return i
-
-    def inverse(self, i):
-        if self._inv[i] is None:
-            if i == 0:
-                self._inv[i] = 0
-            else:
-                y = i  # walk the powers of i up to i^(ord-1)
-                while self.mult(i, y) != 0:
-                    y = self.mult(y, i)
-                self._inv[i] = y
-        return self._inv[i]
-
-    def element_order(self, i):
-        if self._orders[i] is None:
-            k, x = 1, i
-            while x != 0:
-                x = self.mult(x, i)
-                k += 1
-            self._orders[i] = k
-        return self._orders[i]
 
     def table_group(self):
         """Full multiplication table as a TableGroup (same element indexing).
@@ -152,18 +129,6 @@ class FiniteMatrixGroup:
     def conjugacy_classes(self):
         """Classes as sorted index tuples (see TableGroup.conjugacy_classes)."""
         return self.table_group().conjugacy_classes()
-
-    def subgroup_closure(self, indices):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in indices:
-                y = self.mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
 
     def subgroup(self, indices, name=None):
         """Subgroup generated by `indices`, elements in the order `close`
@@ -217,7 +182,7 @@ def pseudo_reflections(g: FiniteMatrixGroup):
     ident = Matrix.identity(g.spec, g.n)
     out = []
     for i, m in enumerate(g.elements):
-        if i == g.identity_index:
+        if i == g.identity:
             continue
         if (m - ident).rank() == 1:
             out.append(i)

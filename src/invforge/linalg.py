@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import bisect
 
-from .errors import LinalgError
-from .fields import FieldElement
+from .errors import FieldError, LinalgError
+from .fields import FieldElement, rational_root_candidates
 from .poly import Polynomial
 
 
@@ -464,7 +464,7 @@ def eigenvalue_candidates(m: Matrix):
     for (k,), c in cp.terms.items():
         try:
             coeffs[k] = c.as_rational()
-        except Exception:
+        except FieldError:
             rational_coeffs = False
             break
     if rational_coeffs and coeffs:
@@ -476,10 +476,8 @@ def eigenvalue_candidates(m: Matrix):
         if const != 0:
             num = abs(const.numerator * (lead.denominator if lead else 1))
             den = abs(lead.numerator * const.denominator) if lead else 1
-            for r in _divisors_of(num):
-                for s in _divisors_of(den):
-                    for sign in (1, -1):
-                        consider(spec.from_fraction(Fraction(sign * r, s)))
+            for root in rational_root_candidates(num, den):
+                consider(spec.from_fraction(root))
     # roots of unity reachable as +-z^k
     if spec.kind != "rational":
         g = spec.gen()
@@ -495,21 +493,6 @@ def eigenvalue_candidates(m: Matrix):
         consider(spec.from_int(1))
         consider(spec.from_int(-1))
     return out
-
-
-def _divisors_of(n):
-    n = abs(int(n))
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def intertwiner_space(As, Bs):
@@ -616,12 +599,12 @@ def simultaneous_eigenvectors(mats):
     """All lines that are eigenvectors of every matrix, over the declared field.
 
     Returns normalized basis vectors of the 1-dimensional joint pieces; raises
-    ValueError if a joint piece of dimension >= 2 remains (infinitely many
+    LinalgError if a joint piece of dimension >= 2 remains (infinitely many
     common eigenlines, e.g. for sets of scalar matrices).
     """
     out = []
     for basis in joint_eigenspaces(mats):
         if len(basis) >= 2:
-            raise ValueError("common eigenvector family is positive-dimensional")
+            raise LinalgError("common eigenvector family is positive-dimensional")
         out.append(tuple(basis[0]))
     return out

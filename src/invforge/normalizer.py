@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import CertificateError, InvForgeError
+from .errors import CertificateError, FieldError, InvForgeError
 from .groups import (FiniteMatrixGroup, GroupAutomorphism,
                      is_diagonalizable_over_k, natural_character,
                      outer_classes)
@@ -214,7 +214,7 @@ def _is_square(d):
         return (d ** ((q - 1) // 2)) == spec.one()
     try:
         val = d.as_rational()
-    except Exception as exc:
+    except FieldError as exc:
         raise InvForgeError(
             "square test supported for rational and finite-field values") from exc
     if val < 0:

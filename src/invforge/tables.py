@@ -11,7 +11,50 @@ from __future__ import annotations
 from .errors import BoundExceededError, InvForgeError
 
 
-class TableGroup:
+class IndexedGroup:
+    """Group queries that need only `mult(a, b)` on element indices and the
+    identity index `identity`.  Subclasses provide both, plus the caches
+    `_inv` and `_orders`: one None per element."""
+
+    __slots__ = ()
+
+    def inverse(self, a):
+        if self._inv[a] is None:
+            self._walk_powers(a)
+        return self._inv[a]
+
+    def element_order(self, a):
+        if self._orders[a] is None:
+            self._walk_powers(a)
+        return self._orders[a]
+
+    def _walk_powers(self, a):
+        """Order and inverse of a from one pass over a, a^2, ..., a^ord = 1."""
+        one = self.identity
+        k, prev, x = 1, one, a
+        while x != one:
+            if k == len(self._orders):  # the order of a divides |G|
+                raise InvForgeError(
+                    f"not a group: the powers of element {a} miss the identity")
+            prev, x = x, self.mult(x, a)
+            k += 1
+        self._orders[a], self._inv[a] = k, prev
+
+    def subgroup_closure(self, gens):
+        seen = {self.identity}
+        frontier = [self.identity]
+        gens = list(gens)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = self.mult(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return frozenset(seen)
+
+
+class TableGroup(IndexedGroup):
     """Finite group on indices 0..n-1 given by a full multiplication table."""
 
     __slots__ = ("n", "table", "identity", "_inv", "_orders", "_classes", "name")
@@ -28,8 +71,8 @@ class TableGroup:
         if ident is None:
             raise InvForgeError("multiplication table has no identity")
         self.identity = ident
-        self._inv = None
-        self._orders = None
+        self._inv = [None] * self.n
+        self._orders = [None] * self.n
         self._classes = None
 
     @staticmethod
@@ -39,28 +82,6 @@ class TableGroup:
 
     def mult(self, a, b):
         return self.table[a][b]
-
-    def inverse(self, a):
-        if self._inv is None:
-            inv = [None] * self.n
-            for x in range(self.n):
-                for y in range(self.n):
-                    if self.table[x][y] == self.identity:
-                        inv[x] = y
-                        break
-            self._inv = inv
-        return self._inv[a]
-
-    def element_order(self, a):
-        if self._orders is None:
-            self._orders = [None] * self.n
-        if self._orders[a] is None:
-            k, x = 1, a
-            while x != self.identity:
-                x = self.mult(x, a)
-                k += 1
-            self._orders[a] = k
-        return self._orders[a]
 
     def orders(self):
         return [self.element_order(a) for a in range(self.n)]
@@ -72,19 +93,6 @@ class TableGroup:
     def center(self):
         return [a for a in range(self.n)
                 if all(self.table[a][b] == self.table[b][a] for b in range(self.n))]
-
-    def subgroup_closure(self, gens):
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
 
     def conjugacy_classes(self):
         """Classes as sorted tuples, via orbit closure under all conjugations."""

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from invforge.errors import EntryParseError, FieldError
-from invforge.fields import (FieldSpec, cyclotomic_polynomial,
+from invforge.fields import (FieldSpec, cyclotomic_coeffs, cyclotomic_polynomial,
                              is_irreducible_coeffs, parse_element,
                              parse_field_spec)
 from invforge.poly import Polynomial, parse_polynomial
@@ -41,6 +42,8 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(1).render(names) == "z - 1"
     assert cyclotomic_polynomial(4).render(names) == "z^2 + 1"
     assert cyclotomic_polynomial(20).render(names) == "z^8 - z^6 + z^4 - z^2 + 1"
+    assert cyclotomic_coeffs(20) == (1, 0, -1, 0, 1, 0, -1, 0, 1)
+    assert all(type(c) is int for c in cyclotomic_coeffs(30))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 20, 30])
@@ -135,6 +138,8 @@ def test_number_field_rational_root_rejected():
     FieldSpec.finite_field(3, [1, 0, 1]),
     FieldSpec.cyclotomic(5),
     parse_field_spec("number_field(z^2 + z + 2)"),
+    FieldSpec.finite_field(2, [1, 1, 0, 1]),
+    FieldSpec.cyclotomic(20),
 ])
 def test_field_axioms_random(spec):
     rng = random.Random(hash(spec.describe()) & 0xFFFF)
@@ -146,8 +151,33 @@ def test_field_axioms_random(spec):
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+        assert a - b + b == a
+        assert -(-a) == a
         if not a.is_zero():
             assert a * a.inverse() == one
+        if not b.is_zero():
+            assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("text", [
+    "rational", "finite(7)", "finite(3, z^2 + 1)", "finite(2, z^3 + z + 1)",
+    "cyclotomic(20)", "number_field(z^2 + z + 2)",
+])
+def test_spec_hash_and_rep_types(text):
+    spec = parse_field_spec(text)
+    assert hash(spec) == hash((spec.kind, spec.p, spec.modulus, spec.cyclotomic_n))
+    if spec.kind == "rational":
+        assert type((spec.from_int(5) * spec.zero()).rep) is Fraction
+        return
+    # F_{p^m} coefficients are ints, number-field coefficients Fractions,
+    # never a bare int 0 (sorting by str(rep) relies on it)
+    coeff_type = int if spec.kind == "finite" else Fraction
+    x = spec.gen() * spec.from_int(5) if spec.degree > 1 else spec.from_int(5)
+    if spec.degree > 1:
+        assert 0 in x.rep
+    for elt in (x, x * x, (x + 1).inverse(), spec.zero() * x, -x, x - x):
+        assert type(elt.rep) is tuple and len(elt.rep) == spec.degree
+        assert all(type(c) is coeff_type for c in elt.rep)
 
 
 @pytest.mark.parametrize("spec", [

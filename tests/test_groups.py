@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from invforge.errors import BoundExceededError, ClosureCapError, LinalgError
+from invforge.errors import (BoundExceededError, ClosureCapError, InvForgeError,
+                             LinalgError)
 from invforge.fields import FieldSpec
 from invforge.groups import (automorphism_group, character_inner_product,
                              close_group, elementary_abelian_rank,
@@ -200,6 +201,16 @@ def test_table_group_cyclic():
     assert t.element_order(1) == 6
     assert t.is_abelian()
     assert len(t.center()) == 6
+
+
+def test_table_without_inverses_refused():
+    # 0 is an identity, but 1 * 1 = 1: the powers of 1 never reach 0, as an
+    # action file's gamma_table may say.  The walk must stop, not loop.
+    t = TableGroup([[0, 1], [1, 1]])
+    with pytest.raises(InvForgeError):
+        t.element_order(1)
+    with pytest.raises(InvForgeError):
+        t.inverse(1)
 
 
 # -- multiplication on the closure's Cayley graph ---------------------------

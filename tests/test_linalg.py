@@ -212,7 +212,7 @@ def test_simultaneous_eigenvectors_rational_rotation():
 
 
 def test_simultaneous_eigenvectors_scalars_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(LinalgError):
         simultaneous_eigenvectors([Matrix.identity(Q, 2)])
 
 

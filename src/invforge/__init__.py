@@ -30,6 +30,6 @@ from .geometry import (ProjPoint, MultReport, projective_fixed_points,
                        check_parabolic_claim, perm_module_irreducible,
                        rank_obstruction)
 from .cohomology import (FiniteAction, CocycleClassSet, h1_classes,
-                         square_class_forms, h1_trivial_for_unipotent_note)
+                         square_class_forms)
 
 __version__ = "0.1.0"

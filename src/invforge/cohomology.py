@@ -222,19 +222,6 @@ def square_class_forms(field):
     raise InvForgeError("field must be 'reals' or a finite FieldSpec")
 
 
-def h1_trivial_for_unipotent_note():
-    """Why the unipotent layer never contributes twisted forms (perfect base)."""
-    return (
-        "Over a perfect base field, a unipotent group carries a filtration "
-        "whose layers are additive groups, and degree-1 Galois cohomology of "
-        "the additive group vanishes; hence H^1 of the whole unipotent group "
-        "is trivial. Twisted-form counting may therefore ignore the "
-        "unipotent kernel of the automorphism group and work with the "
-        "reductive quotient: the scalar torus contributes trivially as well "
-        "(Hilbert 90), leaving the finite data enumerated here."
-    )
-
-
 # ---------------------------------------------------------------------------
 # action files: key/value lines
 #   gamma = cyclic(N)  |  gamma_table = 0,1;1,0

@@ -156,7 +156,7 @@ def serialize_manifest(cases):
 
 _REGISTRY = None
 _GROUP_CACHE = {}
-_GENSET_CACHE = {}
+_MEMO = {}
 
 
 def registry():
@@ -178,10 +178,7 @@ def get_group(example_id):
     case = registry()[example_id.lower()]
     if case.group_file is None:
         raise InvForgeError(f"example {example_id} has no group file")
-    if case.group_file not in _GROUP_CACHE:
-        _GROUP_CACHE[case.group_file] = load_group_file(
-            os.path.join(DATA_DIR, case.group_file))
-    return _GROUP_CACHE[case.group_file]
+    return load_corpus_group(case.group_file)
 
 
 def load_corpus_group(filename):
@@ -191,11 +188,12 @@ def load_corpus_group(filename):
     return _GROUP_CACHE[filename]
 
 
-def _generator_set(group):
-    key = id(group)
-    if key not in _GENSET_CACHE:
-        _GENSET_CACHE[key] = minimal_generators(group)
-    return _GENSET_CACHE[key]
+def _memo(fn, group):
+    """fn(group), computed once per group (groups hash by identity)."""
+    key = (fn, group)
+    if key not in _MEMO:
+        _MEMO[key] = fn(group)
+    return _MEMO[key]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,7 @@ def _check_natural_char_self_ip(group, payload):
 def _check_generator_degrees(group, payload):
     body, dmax = _split_at(payload)
     want = _ints(body)
-    gs = (_generator_set(group) if dmax is None
+    gs = (_memo(minimal_generators, group) if dmax is None
           else minimal_generators(group, d_max=dmax))
     got = gs.degrees
     return want, got, got == want
@@ -302,18 +300,18 @@ def _check_generator_degrees(group, payload):
 
 def _check_degree_gcd(group, payload):
     want = int(payload)
-    got = _generator_set(group).e
+    got = _memo(minimal_generators, group).e
     return want, got, got == want
 
 
 def _check_scaled_exponents(group, payload):
     want = _ints(payload)
-    got = scaled_torus_exponents(_generator_set(group))
+    got = scaled_torus_exponents(_memo(minimal_generators, group))
     return want, got, got == want
 
 
 def _relation(group, wdeg):
-    gs = _generator_set(group)
+    gs = _memo(minimal_generators, group)
     return gs, find_relation(gs, wdeg)
 
 
@@ -418,19 +416,19 @@ def _check_gen_not_identity(group, payload):
 
 def _check_commutant_dim(group, payload):
     want = int(payload)
-    got = normalizer_report(group).commutant_dim
+    got = _memo(normalizer_report, group).commutant_dim
     return want, got, got == want
 
 
 def _check_torus_split(group, payload):
     want = _bool(payload)
-    got = normalizer_report(group).torus_split
+    got = _memo(normalizer_report, group).torus_split
     return want, got, got == want
 
 
 def _check_realized_outer_count(group, payload):
     want = int(payload)
-    got = len(normalizer_report(group).realized_outer)
+    got = len(_memo(normalizer_report, group).realized_outer)
     return want, got, got == want
 
 
@@ -460,13 +458,13 @@ def _check_fixed_point_count(group, payload):
 
 def _check_cst_applicable(group, payload):
     want = _bool(payload)
-    got = cst_quotient_action(group).applicable
+    got = _memo(cst_quotient_action, group).applicable
     return want, got, got == want
 
 
 def _check_cst_quotient_order(group, payload):
     want = int(payload)
-    rep = cst_quotient_action(group)
+    rep = _memo(cst_quotient_action, group)
     got = len(rep.coset_action) if rep.applicable else None
     return want, got, got == want
 

@@ -278,15 +278,9 @@ def outer_classes(g: FiniteMatrixGroup, bound=DEFAULT_AUT_BOUND):
             seen.add(p)
         reps.append(rep)
     reps.sort()
-    identity_perm = tuple(range(g.order))
-    id_coset_rep = None
-    for rep in reps:
-        coset = {tuple(rep[i] for i in inn) for inn in inner}
-        if identity_perm in coset:
-            id_coset_rep = rep
-            break
-    ordered = [id_coset_rep] + [r for r in reps if r != id_coset_rep]
-    return [GroupAutomorphism(r, r == id_coset_rep) for r in ordered]
+    # the identity coset is Inn(G) itself, so its least element is inner[0]
+    ordered = [inner[0]] + [r for r in reps if r != inner[0]]
+    return [GroupAutomorphism(r, r == inner[0]) for r in ordered]
 
 
 def natural_character(g: FiniteMatrixGroup):

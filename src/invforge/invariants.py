@@ -14,27 +14,33 @@ from __future__ import annotations
 import math
 
 from .errors import InvForgeError, ModularityError
-from .groups import FiniteMatrixGroup, reflection_subgroup
+from .groups import (FiniteMatrixGroup, pseudo_reflections,
+                     reflection_subgroup)
 from .linalg import EchelonBasis, Matrix, combine_rows, kernel
 from .poly import Polynomial
 
 
-def monomials(nvars, degree):
-    """Degree-d exponent tuples in descending lexicographic order."""
+def weighted_monomials(degrees, w):
+    """Exponent tuples e with sum e_i * degrees[i] = w, descending lex."""
     out = []
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
+    def rec(i, remaining, prefix):
+        if i == len(degrees):
+            if remaining == 0:
+                out.append(tuple(prefix))
             return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
+        max_e = remaining // degrees[i]
+        for e in range(max_e, -1, -1):
+            rec(i + 1, remaining - e * degrees[i], prefix + [e])
 
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec((), degree, nvars)
+    rec(0, w, [])
     out.sort(reverse=True)
     return out
+
+
+def monomials(nvars, degree):
+    """Degree-d exponent tuples in descending lexicographic order."""
+    return weighted_monomials((1,) * nvars, degree)
 
 
 def coefficient_vector(p, idx):
@@ -82,10 +88,11 @@ class GradedDims:
 def invariant_space(group: FiniteMatrixGroup, d):
     """rref-canonical basis of the degree-d invariants, any characteristic.
 
-    Joint kernel of rho_d(gen) - 1 over the generators.  When every
-    generator maps monomials to single terms (diagonal/permutation-like
-    actions) the kernel is read off orbit transports in linear time;
-    otherwise the kernel is computed densely, one generator at a time.
+    Joint kernel of rho_d(gen) - 1 over the generators.  Generators with one
+    nonzero entry per row send monomials to single terms: their joint fixed
+    space is read off orbit transports in linear time (the identity basis
+    when there are none).  Each remaining generator then cuts that basis
+    with one kernel, mapping only the monomials in the basis's support.
     """
     if d < 0:
         raise InvForgeError("degree must be >= 0")
@@ -94,20 +101,13 @@ def invariant_space(group: FiniteMatrixGroup, d):
         return [Polynomial.constant(spec, nvars, 1)]
     basis = monomials(nvars, d)
     gens = group.generators()
-    images = []
-    monomial_action = True
-    for g in gens:
-        img = []
-        for e in basis:
-            p = apply_matrix(g, Polynomial.monomial(spec, nvars, e))
-            img.append(p)
-            if len(p.terms) > 1:
-                monomial_action = False
-        images.append(img)
-    if monomial_action:
-        vectors = _monomial_fixed_vectors(spec, basis, images)
-    else:
-        vectors = _dense_fixed_vectors(spec, basis, images)
+    monomial = [all(sum(not c.is_zero() for c in row) == 1 for row in g.entries)
+                for g in gens]
+    vectors = _orbit_fixed_vectors(
+        spec, basis, [g for g, m in zip(gens, monomial) if m])
+    for g, m in zip(gens, monomial):
+        if not m and vectors:
+            vectors = _kernel_cut(spec, basis, vectors, g)
     out = []
     for v in vectors:
         terms = {e: c for e, c in zip(basis, v) if not c.is_zero()}
@@ -115,8 +115,12 @@ def invariant_space(group: FiniteMatrixGroup, d):
     return out
 
 
-def _monomial_fixed_vectors(spec, basis, images):
-    """Joint fixed vectors when each generator sends monomial -> scalar*monomial.
+def _monomial_image(spec, g, e):
+    return apply_matrix(g, Polynomial.monomial(spec, g.rows, e))
+
+
+def _orbit_fixed_vectors(spec, basis, gens):
+    """Joint fixed vectors of generators sending monomial -> scalar*monomial.
 
     Transport coefficients along generator moves; a component survives iff
     every loop has scalar 1.  Output is rref-canonical: within a component
@@ -125,13 +129,10 @@ def _monomial_fixed_vectors(spec, basis, images):
     index = {e: i for i, e in enumerate(basis)}
     n = len(basis)
     moves = [[] for _ in range(n)]  # i -> list of (j, lam): gen maps m_i to lam*m_j
-    for img in images:
-        for i, p in enumerate(img):
-            if p.is_zero():
-                # a generator must act invertibly on the degree-d piece
-                raise InvForgeError("zero image of a monomial under a group element")
-            (e, c), = p.terms.items()
-            moves[i].append((index[e], c))
+    for g in gens:
+        for i, e in enumerate(basis):
+            (f, c), = _monomial_image(spec, g, e).terms.items()
+            moves[i].append((index[f], c))
     zero, one = spec.zero(), spec.one()
     coeff = [None] * n
     comp = [None] * n
@@ -170,31 +171,32 @@ def _monomial_fixed_vectors(spec, basis, images):
     return [v for v in vectors if v is not None]
 
 
-def _dense_fixed_vectors(spec, basis, images):
-    """Joint kernel of (rho(gen) - 1), one generator restriction at a time."""
+def _kernel_cut(spec, basis, rows, g):
+    """rref basis of the vectors in span(rows) that g fixes.
+
+    The image of a monomial is built the first time a row uses it, so only
+    the rows' support is mapped.
+    """
     index = {e: i for i, e in enumerate(basis)}
-    n = len(basis)
-    current = Matrix.identity(spec, n).entries  # rows span the running kernel
-    for img in images:
-        # rows of (rho - 1) applied to current basis vectors, as columns
-        cols = []
-        for row in current:
-            acc = [spec.zero()] * n
-            for i, c in enumerate(row):
-                if c.is_zero():
-                    continue
-                p = img[i]
-                for e, pc in p.terms.items():
-                    acc[index[e]] = acc[index[e]] + c * pc
-                acc[i] = acc[i] - c
-            cols.append(acc)
-        ker = kernel(Matrix(spec, cols).transpose())
-        new_rows = combine_rows(ker.basis, current)
-        if not new_rows:
-            return []
-        red, pivots = Matrix(spec, new_rows).rref()
-        current = [list(r) for r in red.entries[: len(pivots)]]
-    return [list(row) for row in current]
+    images = {}
+    cols = []  # (rho(g) - 1) applied to each row
+    for row in rows:
+        acc = [spec.zero()] * len(basis)
+        for i, c in enumerate(row):
+            if c.is_zero():
+                continue
+            if i not in images:
+                images[i] = _monomial_image(spec, g, basis[i])
+            for e, pc in images[i].terms.items():
+                acc[index[e]] = acc[index[e]] + c * pc
+            acc[i] = acc[i] - c
+        cols.append(acc)
+    ker = kernel(Matrix(spec, cols).transpose())
+    new_rows = combine_rows(ker.basis, rows)
+    if not new_rows:
+        return []
+    red, pivots = Matrix(spec, new_rows).rref()
+    return [list(r) for r in red.entries[: len(pivots)]]
 
 
 def hilbert_dims(group: FiniteMatrixGroup, d_max) -> GradedDims:
@@ -321,8 +323,10 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
         basis_order = monomials(group.n, d)
         idx = {e: i for i, e in enumerate(basis_order)}
         span = EchelonBasis()
-        for p in _generator_products(group, gens, d, power_cache):
-            span.insert(coefficient_vector(p, idx))
+        polys = [f for _, f in gens]
+        for expo in weighted_monomials([dg for dg, _ in gens], d):
+            span.insert(coefficient_vector(
+                _power_product(polys, expo, power_cache), idx))
         if target_dim is not None and len(span) == target_dim:
             continue
         space = invariant_space(group, d)
@@ -338,31 +342,19 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
     return GeneratorSet(group, gens, d_max)
 
 
-def _generator_products(group, gens, d, power_cache):
-    """Products of earlier generators with total degree d (monomials in gens)."""
-    degs = [dg for dg, _ in gens]
-    out = []
+def _power_product(polys, expo, power_cache):
+    """prod_i polys[i] ** expo[i] for a nonzero exponent tuple expo.
 
-    def rec(i, remaining, acc):
-        if remaining == 0:
-            out.append(acc)
-            return
-        if i == len(gens):
-            return
-        dg, poly = gens[i]
-        max_e = remaining // dg
-        for e in range(max_e, -1, -1):
-            if e:
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = poly ** e
-                rec(i + 1, remaining - e * dg, acc * power_cache[key]
-                    if acc is not None else power_cache[key])
-            else:
-                rec(i + 1, remaining, acc)
-
-    rec(0, d, None)
-    return [p for p in out if p is not None]
+    power_cache maps (i, a) -> polys[i] ** a and is shared across calls.
+    """
+    prod = None
+    for i, a in enumerate(expo):
+        if a:
+            if (i, a) not in power_cache:
+                power_cache[i, a] = polys[i] ** a
+            prod = (power_cache[i, a] if prod is None
+                    else prod * power_cache[i, a])
+    return prod
 
 
 def scaled_torus_exponents(gs: GeneratorSet):
@@ -396,24 +388,6 @@ class Relation:
         return tuple(f"y{i + 1}" for i in range(self.poly.nvars))
 
 
-def weighted_monomials(degrees, w):
-    """Exponent tuples e with sum e_i * degrees[i] = w, descending lex."""
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        max_e = remaining // degrees[i]
-        for e in range(max_e, -1, -1):
-            rec(i + 1, remaining - e * degrees[i], prefix + [e])
-
-    rec(0, w, [])
-    out.sort(reverse=True)
-    return out
-
-
 def find_relation(gs: GeneratorSet, wdeg_max):
     """Lowest-weighted-degree relation among the generators, or None.
 
@@ -423,26 +397,15 @@ def find_relation(gs: GeneratorSet, wdeg_max):
     group = gs.group
     spec = group.spec
     m = len(gs.generators)
-    degrees = gs.degrees
+    degrees, polys = gs.degrees, gs.polynomials
     power_cache = {}
     for w in range(1, wdeg_max + 1):
         expos = weighted_monomials(degrees, w)
         if len(expos) < 2:
             continue
-        evals = []
-        for e in expos:
-            prod = None
-            for i, a in enumerate(e):
-                if a:
-                    key = (i, a)
-                    if key not in power_cache:
-                        power_cache[key] = gs.polynomials[i] ** a
-                    prod = power_cache[key] if prod is None else prod * power_cache[key]
-            evals.append(prod if prod is not None
-                         else Polynomial.constant(spec, group.n, 1))
-        basis_order = monomials(group.n, w)
-        idx = {x: i for i, x in enumerate(basis_order)}
-        rows = [coefficient_vector(p, idx) for p in evals]
+        idx = {x: i for i, x in enumerate(monomials(group.n, w))}
+        rows = [coefficient_vector(_power_product(polys, e, power_cache), idx)
+                for e in expos]
         ker = kernel(Matrix(spec, rows).transpose())
         if ker.dim:
             coeffs = ker.basis[0]
@@ -511,17 +474,12 @@ def cst_quotient_action(group: FiniteMatrixGroup) -> ReductionReport:
             "reflection subgroup invariants are not polynomial "
             f"(found {len(basics)} generators, degree product {prod}, |W| = {w.order})")
     # coset representatives of G/W inside G (minimal index per coset)
-    w_keys = {m.key() for m in w.elements}
-    w_indices = [i for i, m in enumerate(group.elements) if m.key() in w_keys]
-    coset_of = {}
+    _, coset_of = group.table_group().quotient(
+        group.subgroup_closure(pseudo_reflections(group)))
     reps = []
-    for i in range(group.order):
-        if i in coset_of:
-            continue
-        members = sorted(group.mult(i, h) for h in w_indices)
-        for y in members:
-            coset_of[y] = len(reps)
-        reps.append(members[0])
+    for x, c in enumerate(coset_of):
+        if c == len(reps):
+            reps.append(x)
     action = []
     for rep in reps:
         mat_rows = [[spec.zero()] * n for _ in range(n)]

@@ -49,16 +49,20 @@ def intertwiner(group: FiniteMatrixGroup, phi: GroupAutomorphism):
 
 
 def _invertible_combination(spec, basis, n):
-    """Search c in a grid of side n+1 for an invertible sum c_i basis_i.
+    """Search c in a grid of n+1 distinct values for an invertible sum c_i basis_i.
 
     det is a polynomial of degree <= n on the solution space, so if an
     invertible element exists it is nonzero somewhere on the grid (for a
     finite field smaller than the grid, fall back to full enumeration).
+    The grid is 0..n, topped up from the field's elements when the
+    characteristic is too small for those integers to be distinct.
     """
     if spec.kind == "finite" and spec.size() <= n + 1:
         coords = spec.elements()
     else:
-        coords = [spec.from_int(k) for k in range(n + 1)]
+        coords = list(dict.fromkeys(spec.from_int(k) for k in range(n + 1)))
+        if len(coords) <= n:
+            coords = list(dict.fromkeys(coords + spec.elements()))[:n + 1]
     for c in itertools.product(coords, repeat=len(basis)):
         t = Matrix.zero(spec, n, n)
         for x, b in zip(c, basis):

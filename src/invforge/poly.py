@@ -154,12 +154,6 @@ class Polynomial:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def monic(self):
-        if not self.terms:
-            return self
-        _, c = self.leading()
-        return self.scale(c.inverse())
-
     # -- evaluation / substitution -----------------------------------------
 
     def evaluate(self, point):

@@ -83,9 +83,6 @@ class TableGroup(IndexedGroup):
     def mult(self, a, b):
         return self.table[a][b]
 
-    def orders(self):
-        return [self.element_order(a) for a in range(self.n)]
-
     def is_abelian(self):
         return all(self.table[a][b] == self.table[b][a]
                    for a in range(self.n) for b in range(a))
@@ -117,12 +114,6 @@ class TableGroup(IndexedGroup):
                 classes.append(tuple(sorted(orbit)))
             self._classes = tuple(classes)
         return self._classes
-
-    def class_of(self, x):
-        for cls in self.conjugacy_classes():
-            if x in cls:
-                return cls
-        raise InvForgeError("element not in any class")
 
     def generating_set(self):
         """Small generating set, greedy by subgroup growth (largest order first)."""

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from invforge.cohomology import (FiniteAction, h1_classes,
-                                 h1_trivial_for_unipotent_note, hom_count,
+from invforge.cohomology import (FiniteAction, h1_classes, hom_count,
                                  load_action_file, parse_action_text,
                                  square_class_forms)
 from invforge.errors import InvForgeError
@@ -134,12 +133,6 @@ def test_square_classes_f9():
 def test_square_classes_rejects_char2():
     with pytest.raises(InvForgeError):
         square_class_forms(FieldSpec.finite_field(2))
-
-
-def test_unipotent_note_fixed_text():
-    note = h1_trivial_for_unipotent_note()
-    assert note == h1_trivial_for_unipotent_note()
-    assert "unipotent" in note and "perfect" in note
 
 
 def test_action_file_roundtrip():

@@ -40,23 +40,49 @@ def test_invariant_space_char2_degree_one(char2_group):
     assert rendered == {"x1", "x3"}
 
 
-def test_monomial_fast_path_matches_dense_kernel():
-    # the orbit-transport shortcut must agree with the generic kernel
-    from invforge.invariants import _dense_fixed_vectors, _monomial_fixed_vectors
-    for name in ("an-split.group", "mu2sq.group", "a4perm.group",
-                 "po3diag.group"):
-        g = corpus.load_corpus_group(name)
-        for d in (1, 2, 3, 4):
+def test_monomial_fast_path_matches_dense_kernel(icosahedral):
+    # orbit transport (plus kernel cuts for e8's non-monomial generator)
+    # must agree with the kernel step folded over every generator from the
+    # identity basis
+    from invforge.invariants import _kernel_cut, _orbit_fixed_vectors
+    cases = [(corpus.load_corpus_group(name), (1, 2, 3, 4))
+             for name in ("an-split.group", "mu2sq.group", "a4perm.group",
+                          "po3diag.group")]
+    cases.append((icosahedral, (12, 20, 30)))
+    for g, degrees in cases:
+        for d in degrees:
             basis = monomials(g.n, d)
-            images = [[apply_matrix(m, Polynomial.monomial(g.spec, g.n, e))
-                       for e in basis] for m in g.generators()]
-            fast = _monomial_fixed_vectors(g.spec, basis, images)
-            dense = _dense_fixed_vectors(g.spec, basis, images)
-            as_polys = lambda vecs: sorted(
+            fast = invariant_space(g, d)
+            dense = _orbit_fixed_vectors(g.spec, basis, [])
+            for m in g.generators():
+                dense = _kernel_cut(g.spec, basis, dense, m)
+            as_polys = lambda polys: sorted(p.render() for p in polys)
+            assert as_polys(fast) == as_polys(
                 Polynomial(g.spec, g.n,
-                           {e: c for e, c in zip(basis, v) if not c.is_zero()}
-                           ).render() for v in vecs)
-            assert as_polys(fast) == as_polys(dense), (name, d)
+                           {e: c for e, c in zip(basis, v) if not c.is_zero()})
+                for v in dense), (g.name, d)
+
+
+def test_invariant_space_maps_only_the_running_support(icosahedral, monkeypatch):
+    # orbit transport maps all d + 1 monomials under e8's diagonal
+    # generator; the dense generator maps only the 3, 5 or 7 that survive,
+    # whichever order the generators come in
+    swapped = close_group(icosahedral.generators()[::-1])
+    calls = []
+    original = Polynomial.substitute_linear
+
+    def counted(self, rows):
+        calls.append(1)
+        return original(self, rows)
+
+    monkeypatch.setattr(Polynomial, "substitute_linear", counted)
+    for d, images in ((12, 16), (20, 26), (30, 38)):
+        bases = []
+        for g in (icosahedral, swapped):
+            calls.clear()
+            bases.append(invariant_space(g, d))
+            assert len(calls) == images, (g.generators(), d)
+        assert bases[0] == bases[1]
 
 
 def test_hilbert_dims_examples():
@@ -156,16 +182,17 @@ def test_minimal_generators_icosahedral(icosahedral):
 
 def test_generators_regenerate_hilbert(mu3, sign_group, icosahedral):
     # dimension of weighted products of generators per degree matches
-    from invforge.invariants import _generator_products, coefficient_vector
+    from invforge.invariants import (_power_product, coefficient_vector,
+                                     weighted_monomials)
     for g, dmax in ((mu3, 6), (sign_group, 8), (icosahedral, 24)):
         gs = minimal_generators(g)
         dims = hilbert_dims(g, dmax)
         cache = {}
         for d in range(1, dmax + 1):
-            prods = _generator_products(g, list(gs.generators), d, cache)
             idx = {e: i for i, e in enumerate(monomials(g.n, d))}
             span = EchelonBasis()
-            for p in prods:
+            for expo in weighted_monomials(gs.degrees, d):
+                p = _power_product(gs.polynomials, expo, cache)
                 span.insert(coefficient_vector(p, idx))
             rank = len(span)
             assert rank == dims[d], (g.name, d)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from invforge.errors import InvForgeError
-from invforge.fields import FieldSpec
+from invforge.fields import FieldSpec, parse_field_spec
 from invforge.groups import (automorphism_group, character_inner_product,
                              close_group, natural_character, outer_classes)
 from invforge.linalg import Matrix, intertwiner_space
@@ -142,6 +142,20 @@ def test_intertwiner_refuses_trace_mismatch_at_once():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["4", "4"]
+
+
+def test_invertible_combination_grid_has_distinct_values():
+    # over F_8 the integers 0..3 reduce to {0, 1}, and no 0/1 combination
+    # of diag(1,0,1) and diag(0,1,1) is invertible; diag(1,z,1+z) is
+    from invforge.normalizer import _invertible_combination
+    f8 = parse_field_spec("finite(2, z^3 + z + 1)")
+    zero, one = f8.zero(), f8.one()
+    b1 = Matrix.diagonal(f8, [one, zero, one])
+    b2 = Matrix.diagonal(f8, [zero, one, one])
+    t = _invertible_combination(f8, [b1, b2], 3)
+    assert t is not None and t.is_invertible()
+    a, b = t.entries[0][0], t.entries[1][1]
+    assert t == b1 * a + b2 * b
 
 
 def test_all_inner_irreducible_reports_scalar_torus(s3_perm):

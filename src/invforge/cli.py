@@ -14,14 +14,15 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import InvForgeError
+from .errors import BoundExceededError, ClosureCapError, InvForgeError
 from .fields import FieldSpec, parse_field_spec
 from .cohomology import h1_classes, load_action_file, square_class_forms
 from .geometry import (check_claim_51, check_parabolic_claim,
                        perm_module_irreducible, projective_fixed_points,
                        rank_obstruction)
-from .groups import (is_absolutely_irreducible, is_diagonalizable_over_k,
-                     load_group_file, pseudo_reflections)
+from .groups import (DEFAULT_AUT_BOUND, close_group, is_absolutely_irreducible,
+                     is_diagonalizable_over_k, load_group_file,
+                     pseudo_reflections)
 from .invariants import (find_relation, hilbert_dims, minimal_generators,
                          molien_series, scaled_torus_exponents)
 from .normalizer import normalizer_report
@@ -181,8 +182,18 @@ def cmd_relation(args):
 
 
 def cmd_normalizer(args):
-    g = load_group_file(args.group)
-    rep = normalizer_report(g, aut_bound=args.aut_bound)
+    # Aut(G) is searched only when |G| <= bound, so the closure stops at
+    # the bound instead of building a larger group only to refuse it
+    bound = DEFAULT_AUT_BOUND if args.aut_bound is None else args.aut_bound
+    _, _, gens, name, cap = load_group_file(args.group, close=False)
+    try:
+        g = close_group(gens, cap=min(cap, bound), name=name)
+    except ClosureCapError:
+        if cap <= bound:
+            raise
+        raise BoundExceededError(
+            f"automorphism bound {bound} exceeded (|G| > {bound})") from None
+    rep = normalizer_report(g, aut_bound=bound)
     out = rep.as_dict()
     out["intertwiners"] = [
         [[c.render() for c in row] for row in ro.intertwiner.entries]

@@ -9,6 +9,7 @@ immutable and hashable, so values can be shared freely.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -98,6 +99,38 @@ def _poly_powmod(base, e, mod, red, inv):
         base = _poly_divmod(_poly_mul(base, base, red), mod, red, inv)[1]
         e >>= 1
     return result
+
+
+def _reduction_rows(tail, red):
+    """Images of z^k for k = deg .. 2*deg-2 modulo a monic modulus of degree
+    deg = len(tail) with z^deg = sum tail[i] z^i, for `_reduced_product`."""
+    cur = list(tail)  # z^deg
+    table = [tuple(cur)]
+    for _ in range(len(tail) - 2):
+        # multiply by z and reduce
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
+        if carry:
+            cur = [red(a + carry * t) for a, t in zip(cur, tail)]
+        table.append(tuple(cur))
+    return table
+
+
+def _reduced_product(a, b, table):
+    """a * b for coefficient sequences of length deg, reduced with a
+    `_reduction_rows` table (coefficients not put in normal form)."""
+    deg = len(a)
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    out = prod[:deg]
+    for c, row in zip(prod[deg:], table):
+        if c:
+            out = [o + c * r for o, r in zip(out, row)]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -209,6 +242,22 @@ class FieldSpec:
     Each kind is a subclass (RationalField, FiniteField, NumberField) with
     its own kernel on raw representatives: `_add`, `_sub`, `_neg`, `_mul`,
     `_is_zero`, `_inv` and the constant constructor `_const`.
+
+    Each kernel also gives the integer-row primitives behind
+    `linalg.Matrix.rref`.  An integer row represents a row of field
+    elements up to a positive integer factor, in a per-kind integer
+    representation: `int`s over Q, `int` tuples over a number field, the
+    representatives themselves over F_q.
+
+    - `_int_row(reps)`: (integer row, positive integer den) with
+      reps = row / den;
+    - `_integral_inverse(a)`: (A, D) with a * A = D, D a positive integer;
+    - `_row_scale(A, row)`: A * row;
+    - `_row_combine(D, row, F, piv)`: D * row - F * piv, the elimination
+      step, D a positive integer;
+    - `_row_primitive(row)`: (row / g, g) for the integer content g of row
+      (g = 1 when there is nothing to divide);
+    - `_reps_of_int_row(row, d)`: the representatives of row / d.
     """
 
     __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_red_table", "_hash")
@@ -379,6 +428,30 @@ class RationalField(FieldSpec):
     def _render(self, rep):
         return _render_fraction(rep)
 
+    # -- integer rows: ints ------------------------------------------------
+
+    def _int_row(self, reps):
+        den = math.lcm(*(c.denominator for c in reps))
+        return [c.numerator * (den // c.denominator) for c in reps], den
+
+    def _integral_inverse(self, a):
+        return (1, a) if a > 0 else (-1, -a)
+
+    def _row_scale(self, A, row):
+        return [A * x for x in row]
+
+    def _row_combine(self, D, row, F, piv):
+        return [D * a - F * b for a, b in zip(row, piv)]
+
+    def _row_primitive(self, row):
+        g = math.gcd(*row)
+        if g <= 1:
+            return row, 1
+        return [x // g for x in row], g
+
+    def _reps_of_int_row(self, row, d):
+        return [Fraction(x, d) for x in row]
+
 
 class _ExtensionField(FieldSpec):
     """What F_p[z]/(m) and Q[z]/(m) share: a representative is the tuple of
@@ -399,36 +472,11 @@ class _ExtensionField(FieldSpec):
         return not any(a)
 
     def _reduction_table(self):
-        # image of z^k for k = deg .. 2*deg-2, for fast products
         if self._red_table is None:
             red = self._red
-            tail = [red(-c) for c in self.modulus[:self.degree]]
-            cur = list(tail)  # z^deg
-            table = [tuple(cur)]
-            for _ in range(self.degree - 2):
-                # multiply by z and reduce
-                carry = cur[-1]
-                cur = [0] + cur[:-1]
-                if carry:
-                    cur = [red(a + carry * t) for a, t in zip(cur, tail)]
-                table.append(tuple(cur))
-            self._red_table = table
+            self._red_table = _reduction_rows(
+                [red(-c) for c in self.modulus[:self.degree]], red)
         return self._red_table
-
-    def _product(self, a, b):
-        """a * b reduced modulo the modulus (degree >= 2), before `_red`."""
-        deg = self.degree
-        prod = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        out = prod[:deg]
-        for c, row in zip(prod[deg:], self._reduction_table()):
-            if c:
-                out = [o + c * r for o, r in zip(out, row)]
-        return out
 
     def _inv(self, a):
         if not any(a):
@@ -516,22 +564,61 @@ class FiniteField(_ExtensionField):
         p = self.p
         if self.degree == 1:
             return ((a[0] * b[0]) % p,)
-        return tuple(c % p for c in self._product(a, b))
+        return tuple(c % p for c in _reduced_product(a, b, self._reduction_table()))
 
     @staticmethod
     def _render_coeff(c):
         return str(c), False
 
+    # -- integer rows: the representatives, with D = 1 and no content -------
+
+    def _int_row(self, reps):
+        return list(reps), 1
+
+    def _integral_inverse(self, a):
+        return self._inv(a), 1
+
+    def _row_scale(self, A, row):
+        return [self._mul(A, x) for x in row]
+
+    def _row_combine(self, D, row, F, piv):
+        # D is always 1: every pivot is normalized to 1 by `_integral_inverse`
+        if self.degree == 1:
+            p, f = self.p, F[0]
+            return [((a - f * b) % p,) for (a,), (b,) in zip(row, piv)]
+        return [self._sub(a, self._mul(F, b)) for a, b in zip(row, piv)]
+
+    def _row_primitive(self, row):
+        return row, 1
+
+    def _reps_of_int_row(self, row, d):
+        return row
+
 
 class NumberField(_ExtensionField):
-    """Q[z]/(min_poly), cyclotomic when cyclotomic_n is set; coefficients are Fractions."""
+    """Q[z]/(min_poly), cyclotomic when cyclotomic_n is set; coefficients are Fractions.
 
-    __slots__ = ()
+    Integer rows hold int coordinates in the basis z'^k of z' = s*z, where
+    s is the least common denominator of min_poly: z' has the monic
+    integral minimal polynomial s^deg * min_poly(z'/s), so products of
+    integer tuples stay integral whether or not min_poly is.
+    """
+
+    __slots__ = ("_scale_powers", "_int_table")
     kind = NUMBER_FIELD
     _modulus_name = "min_poly"
     _red = staticmethod(_exact)
     _cinv = staticmethod(_q_inv)
     _render_coeff = staticmethod(_signed_fraction)
+
+    def __init__(self, modulus, cyclotomic_n=None):
+        super().__init__(modulus=modulus, cyclotomic_n=cyclotomic_n)
+        deg = self.degree
+        s = math.lcm(*(c.denominator for c in self.modulus))
+        self._scale_powers = tuple(s ** k for k in range(deg))
+        self._int_table = _reduction_rows(
+            [int(-c * s ** (deg - k)) for k, c in enumerate(self.modulus[:deg])],
+            _exact)
 
     def describe(self):
         if self.cyclotomic_n is not None:
@@ -559,12 +646,53 @@ class NumberField(_ExtensionField):
     def _mul(self, a, b):
         if self.degree == 1:
             return (a[0] * b[0],)
-        return tuple(Fraction(c) for c in self._product(a, b))
+        return tuple(Fraction(c) for c in
+                     _reduced_product(a, b, self._reduction_table()))
 
     def _as_rational(self, rep):
         if any(rep[1:]):
             raise FieldError("element is not a rational constant")
         return rep[0]
+
+    # -- integer rows: int tuples in the basis z'^k -------------------------
+
+    def _int_row(self, reps):
+        pw = self._scale_powers
+        den = math.lcm(*(c.denominator * s for t in reps for c, s in zip(t, pw)))
+        return [tuple(c.numerator * (den // (c.denominator * s))
+                      for c, s in zip(t, pw)) for t in reps], den
+
+    def _integral_inverse(self, a):
+        (A,), D = self._int_row(
+            [self._inv(tuple(x * s for x, s in zip(a, self._scale_powers)))])
+        return A, D
+
+    def _row_scale(self, A, row):
+        table = self._int_table
+        return [tuple(_reduced_product(A, b, table)) for b in row]
+
+    def _row_combine(self, D, row, F, piv):
+        if self.degree == 2:
+            # z'^2 = t0 + t1 z', so F * b = (f0 b0 + t0 f1 b1,
+            # f0 b1 + f1 b0 + t1 f1 b1)
+            (t0, t1), = self._int_table
+            f0, f1 = F
+            u, v = t0 * f1, f0 + t1 * f1
+            return [(D * a0 - f0 * b0 - u * b1, D * a1 - f1 * b0 - v * b1)
+                    for (a0, a1), (b0, b1) in zip(row, piv)]
+        table = self._int_table
+        return [tuple(D * x - y for x, y in zip(a, _reduced_product(F, b, table)))
+                for a, b in zip(row, piv)]
+
+    def _row_primitive(self, row):
+        g = math.gcd(*itertools.chain.from_iterable(row))
+        if g <= 1:
+            return row, 1
+        return [tuple(map(g.__rfloordiv__, t)) for t in row], g
+
+    def _reps_of_int_row(self, row, d):
+        pw = self._scale_powers
+        return [tuple(Fraction(x * s, d) for x, s in zip(t, pw)) for t in row]
 
 
 

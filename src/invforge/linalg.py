@@ -183,31 +183,46 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def rref(self):
-        """(rref Matrix, pivot column list)."""
-        rows = [list(r) for r in self.entries]
+        """(rref Matrix, pivot column list).
+
+        Gauss-Jordan elimination on integer rows (the FieldSpec row
+        primitives), fraction-free: the pivot row is scaled to an integer
+        pivot D, every other row becomes D * row - F * pivot row and is
+        divided by its integer content.  The pivot entry of pivot row k
+        stays the positive integer dens[k]; FieldElements are built once,
+        from row / dens[k].
+        """
+        spec = self.spec
+        is_zero, combine, primitive = (spec._is_zero, spec._row_combine,
+                                       spec._row_primitive)
         m, n = self.rows, self.cols
-        pivots = []
+        rows = [spec._int_row([c.rep for c in row])[0] for row in self.entries]
+        pivots, dens = [], []
         r = 0
         for c in range(n):
-            pivot_row = None
-            for i in range(r, m):
-                if not rows[i][c].is_zero():
-                    pivot_row = i
-                    break
+            if r == m:
+                break
+            pivot_row = next((i for i in range(r, m) if not is_zero(rows[i][c])), None)
             if pivot_row is None:
                 continue
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [a * inv for a in rows[r]]
+            A, D = spec._integral_inverse(rows[r][c])
+            pivot, g = primitive(spec._row_scale(A, rows[r]))
+            D //= g
+            rows[r] = pivot
             for i in range(m):
-                if i != r and not rows[i][c].is_zero():
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                f = rows[i][c]
+                if i != r and not is_zero(f):
+                    rows[i], g = primitive(combine(D, rows[i], f, pivot))
+                    if i < r:
+                        dens[i] = D * dens[i] // g
             pivots.append(c)
+            dens.append(D)
             r += 1
-            if r == m:
-                break
-        return Matrix(self.spec, rows), pivots
+        zero_row = [spec.zero()] * n
+        out = [[FieldElement(spec, x) for x in spec._reps_of_int_row(row, d)]
+               for row, d in zip(rows, dens)]
+        return Matrix(spec, out + [zero_row] * (m - r)), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -330,14 +345,20 @@ class EchelonBasis:
 
 
 def combine_rows(coefficients, rows):
-    """The vectors sum_i c_i rows[i], one per coefficient tuple c."""
+    """The vectors sum_i c_i rows[i], one per coefficient tuple c.
+
+    Only the nonzero entries of each row are visited.
+    """
     zero = rows[0][0].spec.zero()
+    support = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+               for row in rows]
     out = []
     for coeffs in coefficients:
         vec = [zero] * len(rows[0])
-        for c, row in zip(coeffs, rows):
+        for c, entries in zip(coeffs, support):
             if not c.is_zero():
-                vec = [a + c * b for a, b in zip(vec, row)]
+                for j, b in entries:
+                    vec[j] = vec[j] + c * b
         out.append(vec)
     return out
 

@@ -85,6 +85,36 @@ def test_invariant_space_maps_only_the_running_support(icosahedral, monkeypatch)
         assert bases[0] == bases[1]
 
 
+def test_m7_invariant_space_scalar_multiplies(monkeypatch):
+    # rref eliminates on integer rows and combine_rows skips zero entries:
+    # the 91 x 91 degree-12 kernel costs no FieldElement product, and what
+    # is left is mapping the monomials (FieldElement elimination: 286,902)
+    from invforge.fields import FieldElement
+    m7 = corpus.load_corpus_group("m7.group")
+    calls = {"all": 0, "in rref": 0}
+    depth = [0]
+    mul, rref = FieldElement.__mul__, Matrix.rref
+
+    def counted_mul(self, other):
+        calls["all"] += 1
+        calls["in rref"] += depth[0] > 0
+        return mul(self, other)
+
+    def traced_rref(self):
+        depth[0] += 1
+        try:
+            return rref(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted_mul)
+    monkeypatch.setattr(Matrix, "rref", traced_rref)
+    assert len(invariant_space(m7, 12)) == 13
+    assert calls["in rref"] == 0
+    assert calls["all"] <= 10_000
+
+
 def test_hilbert_dims_examples():
     mi = close_group([Matrix.from_rows(Q, [[-1, 0], [0, -1]])])
     assert hilbert_dims(mi, 4).dims == (1, 0, 3, 0, 5)

@@ -234,3 +234,64 @@ def test_inverse_and_det():
     assert m.det() == Q.from_int(-2)
     with pytest.raises(LinalgError):
         Matrix.from_rows(Q, [[1, 1], [1, 1]]).inverse()
+
+
+def _gauss_jordan(m):
+    """Reference rref: plain Gauss-Jordan elimination on FieldElements."""
+    rows = [list(r) for r in m.entries]
+    pivots, r = [], 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        i = next((i for i in range(r, m.rows) if not rows[i][c].is_zero()), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][c]
+            if i != r and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _random_matrix(spec, rng, nrows, ncols):
+    """Sparse random rows mixed with zero, repeated and dependent rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.35:
+            a, b, c = rng.choice(rows), rng.choice(rows), spec.random_element(rng, 5)
+            rows.append([x + c * y for x, y in zip(a, b)])
+        elif kind < 0.45:
+            rows.append([spec.zero()] * ncols)
+        else:
+            rows.append([spec.zero() if rng.random() < 0.3
+                         else spec.random_element(rng, 5) for _ in range(ncols)])
+    return Matrix(spec, rows)
+
+
+@pytest.mark.parametrize("text", [
+    "rational", "finite(5)", "finite(2, z^3 + z + 1)", "cyclotomic(20)",
+    "number_field(z^2 + z + 2)", "number_field(z^2 - 1/2)",
+])
+def test_rref_matches_field_element_gauss_jordan(text):
+    # the integer-row elimination must give the reference's entries, with
+    # the same representative types (point order sorts by str(rep))
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    shapes = [(0, 0), (1, 1), (3, 3), (6, 2), (2, 6), (5, 5), (4, 7), (7, 4)]
+    for nrows, ncols in shapes * 4:
+        m = _random_matrix(spec, rng, nrows, ncols)
+        red, pivots = m.rref()
+        want, want_pivots = _gauss_jordan(m)
+        assert pivots == want_pivots
+        assert (red.rows, red.cols) == (m.rows, m.cols)
+        assert [list(r) for r in red.entries] == want
+        assert ([[str(c.rep) for c in r] for r in red.entries]
+                == [[str(c.rep) for c in r] for r in want])

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -142,6 +143,25 @@ def test_intertwiner_refuses_trace_mismatch_at_once():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["4", "4"]
+
+
+BOUNDED_NORMALIZER_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from invforge.cli import main
+sys.exit(main(["normalizer", "--group", sys.argv[1], "--machine"]))
+"""
+
+
+def test_normalizer_refuses_large_group_before_closing_it():
+    # 2i2i2 has 28,800 elements; the closure stops after 401 of them
+    # (the automorphism bound) instead of taking minutes to refuse
+    group = os.path.join(corpus.DATA_DIR, "2i2i2.group")
+    proc = subprocess.run([sys.executable, "-c", BOUNDED_NORMALIZER_SCRIPT, group],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: automorphism bound 400 exceeded (|G| > 400)\n"
 
 
 def test_invertible_combination_grid_has_distinct_values():

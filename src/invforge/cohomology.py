@@ -8,6 +8,8 @@ perfect base field; that hypothesis is documented, not enforced.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import BoundExceededError, InvForgeError
 from .fields import FieldSpec
 from .groups import automorphism_group
@@ -102,10 +104,7 @@ def h1_classes(act: FiniteAction) -> CocycleClassSet:
     if module.n ** max(1, len(gens)) > H1_ENUMERATION_BOUND:
         raise BoundExceededError("cocycle enumeration bound exceeded")
     cocycles = []
-    stack = [[]]
-    for _ in gens:
-        stack = [c + [v] for c in stack for v in range(module.n)]
-    for assignment in stack:
+    for assignment in itertools.product(range(module.n), repeat=len(gens)):
         c = _propagate(act, gens, assignment)
         if c is not None and _cocycle_ok(act, c):
             cocycles.append(tuple(c))
@@ -156,10 +155,7 @@ def hom_count(gamma: TableGroup, module: TableGroup):
                            [tuple(range(module.n))] * gamma.n)
     gens = gamma.generating_set()
     count = 0
-    stack = [[]]
-    for _ in gens:
-        stack = [c + [v] for c in stack for v in range(module.n)]
-    for assignment in stack:
+    for assignment in itertools.product(range(module.n), repeat=len(gens)):
         c = _propagate(trivial, gens, assignment)
         if c is None:
             continue
@@ -251,6 +247,10 @@ def parse_action_text(text, base_dir=None, group_loader=None):
         elif key == "gamma_table":
             rows = [[int(x) for x in row.split(",")]
                     for row in value.split(";")]
+            if any(sorted(row) != list(range(len(rows))) for row in rows):
+                raise InvForgeError(
+                    f"action file line {lineno}: gamma_table rows must each "
+                    f"list 0..{len(rows) - 1}")
             gamma = TableGroup(rows)
         elif key == "module":
             if group_loader is None:
@@ -276,12 +276,22 @@ def parse_action_text(text, base_dir=None, group_loader=None):
         raise InvForgeError("action file needs gamma and module")
     images = {}
     for gen, image_text in pairs:
+        if not 0 <= gen < gamma.n:
+            raise InvForgeError(f"generator {gen} is not an element of gamma "
+                                f"(order {gamma.n})")
         kind, _, payload = image_text.partition(" ")
         if kind == "perm":
             perm = tuple(int(x) for x in payload.split(","))
+            if sorted(perm) != list(range(module_table.n)):
+                raise InvForgeError(f"image {image_text!r} is not a permutation "
+                                    f"of 0..{module_table.n - 1}")
         elif kind == "aut":
             auts = automorphism_group(module_group)
-            perm = auts[int(payload)].perm
+            k = int(payload)
+            if not 0 <= k < len(auts):
+                raise InvForgeError(f"image {image_text!r}: the module has "
+                                    f"{len(auts)} automorphisms")
+            perm = auts[k].perm
         else:
             raise InvForgeError(f"unknown image kind {kind!r}")
         images[gen] = perm

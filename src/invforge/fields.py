@@ -521,10 +521,8 @@ class FiniteField(_ExtensionField):
 
     def elements(self):
         """All elements, in deterministic coefficient order."""
-        reps = [()]
-        for _ in range(self.degree):
-            reps = [r + (c,) for r in reps for c in range(self.p)]
-        return [FieldElement(self, r) for r in reps]
+        return [FieldElement(self, r)
+                for r in itertools.product(range(self.p), repeat=self.degree)]
 
     def _red(self, c):
         return c % self.p
@@ -854,8 +852,11 @@ class FieldElement:
 #
 # expr   := term (('+'|'-') term)*
 # term   := factor ('*' factor)*
-# factor := ['-'] atom ('^' uint)?
-# atom   := int | int '/' int | 'z' | '(' expr ')'
+# factor := ['-'] (atom | '(' expr ')') ('^' uint)?
+# atom   := int | int '/' int | 'z'
+#
+# Polynomials (poly.parse_polynomial) use the same grammar, with a variable
+# name as one more atom.
 #
 # The unary minus is a superset of the published grammar so canonical renders
 # of negative leading coefficients parse back.
@@ -892,41 +893,50 @@ class _Tokens:
 def parse_element(text, spec):
     """Parse an entry expression to a canonical FieldElement of `spec`."""
     toks = _Tokens(text)
-    value = _parse_expr(toks, spec)
+    value = _parse_expr(toks, lambda t: _parse_atom(t, spec))
     toks.skip_ws()
     if toks.pos != len(text):
         raise EntryParseError(f"unexpected character {text[toks.pos]!r}", toks.pos)
     return value
 
 
-def _parse_expr(toks, spec):
-    value = _parse_term(toks, spec)
+def _parse_expr(toks, atom):
+    """expr over the values that `atom(toks)` parses (field elements or
+    polynomials): the grammar is the same, apart from the atom."""
+    value = _parse_term(toks, atom)
     while True:
         ch = toks.peek()
         if ch == "+":
             toks.take()
-            value = value + _parse_term(toks, spec)
+            value = value + _parse_term(toks, atom)
         elif ch == "-":
             toks.take()
-            value = value - _parse_term(toks, spec)
+            value = value - _parse_term(toks, atom)
         else:
             return value
 
 
-def _parse_term(toks, spec):
-    value = _parse_factor(toks, spec)
+def _parse_term(toks, atom):
+    value = _parse_factor(toks, atom)
     while toks.peek() == "*":
         toks.take()
-        value = value * _parse_factor(toks, spec)
+        value = value * _parse_factor(toks, atom)
     return value
 
 
-def _parse_factor(toks, spec):
+def _parse_factor(toks, atom):
     negate = False
     if toks.peek() == "-":
         toks.take()
         negate = True
-    value = _parse_atom(toks, spec)
+    if toks.peek() == "(":
+        toks.take()
+        value = _parse_expr(toks, atom)
+        if toks.peek() != ")":
+            raise EntryParseError("expected ')'", toks.pos)
+        toks.take()
+    else:
+        value = atom(toks)
     if toks.peek() == "^":
         toks.take()
         value = value ** toks.take_uint()
@@ -937,13 +947,6 @@ def _parse_atom(toks, spec):
     ch = toks.peek()
     if ch is None:
         raise EntryParseError("unexpected end of input", toks.pos)
-    if ch == "(":
-        toks.take()
-        value = _parse_expr(toks, spec)
-        if toks.peek() != ")":
-            raise EntryParseError("expected ')'", toks.pos)
-        toks.take()
-        return value
     if ch == "z":
         toks.take()
         return spec.gen()

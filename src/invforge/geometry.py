@@ -4,6 +4,8 @@ elementary-abelian rank obstruction on projective images."""
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import BoundExceededError, InvForgeError, NotInvariantError
 from .fields import FieldSpec
 from .groups import FiniteMatrixGroup
@@ -98,13 +100,9 @@ def check_claim_51(f: Polynomial, n=None):
     n = n if n is not None else f.nvars
     q = spec.size()
     deg = f.total_degree()
-    elements = spec.elements()
-    points = [()]
-    for _ in range(n):
-        points = [pt + (e,) for pt in points for e in elements]
     total = 0
     vanishing = []
-    for pt in points:
+    for pt in itertools.product(spec.elements(), repeat=n):
         m = multiplicity_at_point(f, pt)
         if m > 0:
             vanishing.append((pt, m))
@@ -192,25 +190,25 @@ def _is_semi_invariant(h, m):
 
 def all_projective_linear_forms(spec, n):
     """Product of all linear forms with first nonzero coefficient 1."""
-    elements = spec.elements()
-    forms = []
-    for lead in range(n):
-        tails = [()]
-        for _ in range(n - lead - 1):
-            tails = [t + (e,) for t in tails for e in elements]
-        for tail in tails:
-            coeffs = [spec.zero()] * lead + [spec.one()] + list(tail)
-            terms = {}
-            for i, c in enumerate(coeffs):
-                if not c.is_zero():
-                    e = [0] * n
-                    e[i] = 1
-                    terms[tuple(e)] = c
-            forms.append(Polynomial(spec, n, terms))
     prod = Polynomial.constant(spec, n, 1)
-    for f in forms:
-        prod = prod * f
+    for coeffs in _normalized_vectors(spec, n):
+        terms = {}
+        for i, c in enumerate(coeffs):
+            if not c.is_zero():
+                e = [0] * n
+                e[i] = 1
+                terms[tuple(e)] = c
+        prod = prod * Polynomial(spec, n, terms)
     return prod
+
+
+def _normalized_vectors(spec, n):
+    """The vectors of F_q^n whose first nonzero coordinate is 1, one per
+    point of P^(n-1)(F_q), by leading position, then in coefficient order."""
+    zero, one = spec.zero(), spec.one()
+    for lead in range(n):
+        for tail in itertools.product(spec.elements(), repeat=n - lead - 1):
+            yield (zero,) * lead + (one,) + tail
 
 
 def check_parabolic_claim(h, q=None, n=None, spec=None):
@@ -228,6 +226,8 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
         h = all_projective_linear_forms(spec, n)
     spec = h.spec
     n = h.nvars
+    if n < 1:
+        raise InvForgeError("the hyperplane x1 = 0 needs n >= 1")
     if spec.kind != "finite":
         raise InvForgeError("parabolic claim runs over a finite field")
     q = spec.size()
@@ -242,16 +242,12 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
                 violating_generator=g)
     deg = h.total_degree()
     # affine chart x1 = 1
-    elements = spec.elements()
-    chart_points = [()]
-    for _ in range(n - 1):
-        chart_points = [pt + (e,) for pt in chart_points for e in elements]
     one = spec.one()
     dehom = _dehomogenize_first(h)
     max_mult = 0
     argmax = None
     witnesses = []
-    for pt in chart_points:
+    for pt in itertools.product(spec.elements(), repeat=n - 1):
         m = multiplicity_at_point(dehom, pt) if not dehom.is_zero() else 0
         if m > 0:
             witnesses.append(((one,) + pt, m))
@@ -355,20 +351,8 @@ def perm_module_irreducible(group: FiniteMatrixGroup, p):
             f"module enumeration bound exceeded: {p}^{n - 1} > {PERM_MODULE_BOUND}")
     perms = [permutation_of_matrix(m) for m in group.generators()]
     spec, mats = deleted_permutation_module(perms, n, p)
-    dim = n - 1
-    if dim == 0:
-        return True
-    full = dim
-    elements = spec.elements()
-    for lead in range(dim):
-        tails = [()]
-        for _ in range(dim - lead - 1):
-            tails = [t + (e,) for t in tails for e in elements]
-        for tail in tails:
-            vec = ([spec.zero()] * lead + [spec.one()] + list(tail))
-            if spin_submodule(mats, tuple(vec)).dim != full:
-                return False
-    return True
+    return all(spin_submodule(mats, vec).dim == n - 1
+               for vec in _normalized_vectors(spec, n - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -199,9 +199,13 @@ def _kernel_cut(spec, basis, rows, g):
     return [list(r) for r in red.entries[: len(pivots)]]
 
 
-def hilbert_dims(group: FiniteMatrixGroup, d_max) -> GradedDims:
+def _check_degree_bound(d_max):
     if d_max < 0:
         raise InvForgeError("d_max must be >= 0")
+
+
+def hilbert_dims(group: FiniteMatrixGroup, d_max) -> GradedDims:
+    _check_degree_bound(d_max)
     return GradedDims([len(invariant_space(group, d)) for d in range(d_max + 1)])
 
 
@@ -215,6 +219,7 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
     Elements are bucketed by characteristic polynomial; each bucket's series
     inverse is a linear recurrence of length n.
     """
+    _check_degree_bound(d_max)
     if group.spec.characteristic() != 0:
         raise ModularityError("Molien series requires characteristic 0")
     spec, n = group.spec, group.n
@@ -311,6 +316,7 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             raise ModularityError(
                 "modular case: pass an explicit degree bound d_max")
         d_max = group.order
+    _check_degree_bound(d_max)
     mol = None
     if p == 0:
         mol = molien_series(group, d_max)
@@ -322,7 +328,7 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             continue
         basis_order = monomials(group.n, d)
         idx = {e: i for i, e in enumerate(basis_order)}
-        span = EchelonBasis()
+        span = EchelonBasis(group.spec)
         polys = [f for _, f in gens]
         for expo in weighted_monomials([dg for dg, _ in gens], d):
             span.insert(coefficient_vector(

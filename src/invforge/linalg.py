@@ -11,6 +11,7 @@ equal iff their rref bases agree.
 from __future__ import annotations
 
 import bisect
+import operator
 
 from .errors import FieldError, LinalgError
 from .fields import FieldElement, rational_root_candidates
@@ -183,46 +184,16 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def rref(self):
-        """(rref Matrix, pivot column list).
-
-        Gauss-Jordan elimination on integer rows (the FieldSpec row
-        primitives), fraction-free: the pivot row is scaled to an integer
-        pivot D, every other row becomes D * row - F * pivot row and is
-        divided by its integer content.  The pivot entry of pivot row k
-        stays the positive integer dens[k]; FieldElements are built once,
-        from row / dens[k].
-        """
+        """(rref Matrix, pivot column list): the rows folded into an EchelonBasis."""
         spec = self.spec
-        is_zero, combine, primitive = (spec._is_zero, spec._row_combine,
-                                       spec._row_primitive)
-        m, n = self.rows, self.cols
-        rows = [spec._int_row([c.rep for c in row])[0] for row in self.entries]
-        pivots, dens = [], []
-        r = 0
-        for c in range(n):
-            if r == m:
+        span = EchelonBasis(spec)
+        for row in self.entries:
+            if len(span) == self.cols:
                 break
-            pivot_row = next((i for i in range(r, m) if not is_zero(rows[i][c])), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            A, D = spec._integral_inverse(rows[r][c])
-            pivot, g = primitive(spec._row_scale(A, rows[r]))
-            D //= g
-            rows[r] = pivot
-            for i in range(m):
-                f = rows[i][c]
-                if i != r and not is_zero(f):
-                    rows[i], g = primitive(combine(D, rows[i], f, pivot))
-                    if i < r:
-                        dens[i] = D * dens[i] // g
-            pivots.append(c)
-            dens.append(D)
-            r += 1
-        zero_row = [spec.zero()] * n
-        out = [[FieldElement(spec, x) for x in spec._reps_of_int_row(row, d)]
-               for row, d in zip(rows, dens)]
-        return Matrix(spec, out + [zero_row] * (m - r)), pivots
+            span._insert(spec._int_row([c.rep for c in row])[0])
+        zero_row = [spec.zero()] * self.cols
+        return (Matrix(spec, span.rows + [zero_row] * (self.rows - len(span))),
+                span.pivots)
 
     def rank(self):
         return len(self.rref()[1])
@@ -230,27 +201,8 @@ class Matrix:
     def det(self):
         if self.rows != self.cols:
             raise LinalgError("determinant of a non-square matrix")
-        rows = [list(r) for r in self.entries]
-        n = self.rows
-        det = self.spec.one()
-        for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if not rows[i][c].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.spec.zero()
-            if pivot_row != c:
-                rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for i in range(c + 1, n):
-                if not rows[i][c].is_zero():
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+        last = _berkowitz(self)[-1]
+        return -last if self.rows % 2 else last
 
     def is_invertible(self):
         return self.rows == self.cols and not self.det().is_zero()
@@ -296,52 +248,71 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
     def contains(self, vec):
-        return not any(EchelonBasis(self.basis).reduce(vec))
+        return Subspace(self.spec, self.ambient, self.basis + (vec,)).dim == self.dim
 
 
 class EchelonBasis:
     """Incrementally built basis in fully reduced row echelon form.
 
-    Rows are normalized (pivot entry 1), reduced against each other and kept
-    in pivot order, so at every step they equal the rref basis of their span.
+    Gauss-Jordan elimination on integer rows (the FieldSpec row
+    primitives), fraction-free.  Stored row k is ints[k] / dens[k]: its
+    pivot entry is the positive integer dens[k], it is zero at every other
+    pivot, and rows are kept in pivot order, so at every step they are the
+    rref basis of their span.  A new row is reduced by D * row - F * pivot
+    row against each stored row and divided by its integer content; the
+    stored rows are then reduced by it the same way.
     """
 
-    __slots__ = ("rows", "pivots")
+    __slots__ = ("spec", "ints", "dens", "pivots")
 
-    def __init__(self, rows=()):
-        """Start from rows that are already fully reduced, in pivot order."""
-        self.rows = [list(row) for row in rows]
-        self.pivots = [next(i for i, c in enumerate(row) if not c.is_zero())
-                       for row in self.rows]
+    def __init__(self, spec):
+        self.spec = spec
+        self.ints, self.dens, self.pivots = [], [], []
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.ints)
 
-    def reduce(self, vec):
-        """vec minus its components along the pivots (all zero iff in the span)."""
-        vec = list(vec)
-        for lead, row in zip(self.pivots, self.rows):
-            f = vec[lead]
-            if not f.is_zero():
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
+    @property
+    def rows(self):
+        """The basis rows as FieldElement lists (pivot entry 1)."""
+        spec = self.spec
+        return [[FieldElement(spec, x) for x in spec._reps_of_int_row(row, d)]
+                for row, d in zip(self.ints, self.dens)]
 
     def insert(self, vec):
         """Add vec to the span; the new normalized row, or None if already in it."""
-        residue = self.reduce(vec)
-        lead = next((i for i, c in enumerate(residue) if not c.is_zero()), None)
+        spec = self.spec
+        k = self._insert(spec._int_row([c.rep for c in vec])[0])
+        if k is None:
+            return None
+        return [FieldElement(spec, x)
+                for x in spec._reps_of_int_row(self.ints[k], self.dens[k])]
+
+    def _insert(self, row):
+        """Fold an integer row into the basis; its index, or None if in the span."""
+        spec = self.spec
+        is_zero, combine, primitive = (spec._is_zero, spec._row_combine,
+                                       spec._row_primitive)
+        for lead, pivot, d in zip(self.pivots, self.ints, self.dens):
+            f = row[lead]
+            if not is_zero(f):
+                row = primitive(combine(d, row, f, pivot))[0]
+        lead = next((i for i, x in enumerate(row) if not is_zero(x)), None)
         if lead is None:
             return None
-        inv = residue[lead].inverse()
-        normalized = [c * inv for c in residue]
-        for k, row in enumerate(self.rows):
-            f = row[lead]
-            if not f.is_zero():
-                self.rows[k] = [a - f * b for a, b in zip(row, normalized)]
+        A, D = spec._integral_inverse(row[lead])
+        row, g = primitive(spec._row_scale(A, row))
+        D //= g
+        for k, other in enumerate(self.ints):
+            f = other[lead]
+            if not is_zero(f):
+                self.ints[k], g = primitive(combine(D, other, f, row))
+                self.dens[k] = D * self.dens[k] // g
         at = bisect.bisect(self.pivots, lead)
         self.pivots.insert(at, lead)
-        self.rows.insert(at, normalized)
-        return normalized
+        self.ints.insert(at, row)
+        self.dens.insert(at, D)
+        return at
 
 
 def combine_rows(coefficients, rows):
@@ -380,62 +351,35 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def char_poly(m: Matrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - m) as a univariate Polynomial.
+    """Monic characteristic polynomial det(xI - m) as a univariate Polynomial."""
+    n = m.rows
+    return Polynomial(m.spec, 1, {(n - k,): c for k, c in enumerate(_berkowitz(m))})
 
-    Faddeev-LeVerrier in characteristic 0 (divides only by integers);
-    memoized cofactor expansion of det(xI - m) in positive characteristic.
+
+def _berkowitz(m):
+    """Coefficients [1, c_1, .., c_n] of det(xI - m), highest degree first.
+
+    Berkowitz's division-free recursion, valid in every characteristic.
+    For the leading principal submatrix A = [[M, C], [R, a]], the Schur
+    complement of xI - M gives det(xI - A) = det(xI - M) *
+    (x - a - sum_k R M^k C x^(-k-1)); the product is a polynomial, and its
+    coefficients need only k < dim M.
     """
     if m.rows != m.cols:
         raise LinalgError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    spec = m.spec
-    if spec.characteristic() == 0:
-        coeffs = [spec.one()]  # x^n coefficient
-        mk = m
-        ident = Matrix.identity(spec, n)
-        ck = None
-        for k in range(1, n + 1):
-            if k > 1:
-                mk = m * (mk + ident * ck)
-            ck = -(mk.trace()) / spec.from_int(k)
-            coeffs.append(ck)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                terms[(n - k,)] = c
-        return Polynomial(spec, 1, terms)
-    # positive characteristic: expand det(xI - m) over k[x]
-    x = Polynomial.variable(spec, 1, 0)
-    entries = [[Polynomial.constant(spec, 1, 1).scale(-m.entries[i][j])
-                for j in range(n)] for i in range(n)]
-    for i in range(n):
-        entries[i][i] = entries[i][i] + x
-    return _poly_det(entries, spec)
-
-
-def _poly_det(entries, spec):
-    n = len(entries)
-    cache = {}
-
-    def minor(row, colmask):
-        if row == n:
-            return Polynomial.constant(spec, 1, 1)
-        key = colmask
-        if key in cache.get(row, {}):
-            return cache[row][key]
-        acc = Polynomial.zero(spec, 1)
-        sign = 1
-        for j in range(n):
-            if colmask & (1 << j):
-                e = entries[row][j]
-                if e:
-                    sub = minor(row + 1, colmask & ~(1 << j))
-                    acc = acc + (sub * e if sign > 0 else -(sub * e))
-                sign = -sign
-        cache.setdefault(row, {})[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
+    a, zero, one = m.entries, m.spec.zero(), m.spec.one()
+    coeffs = [one]
+    for r in range(m.rows):
+        M, R = [row[:r] for row in a[:r]], a[r][:r]
+        v = [row[r] for row in a[:r]]  # C, then M^k C
+        col = [one, -a[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(operator.mul, row, v), zero) for row in M]
+            col.append(-sum(map(operator.mul, R, v), zero))
+        coeffs = [sum((col[i - j] * coeffs[j] for j in range(min(i, r) + 1)), zero)
+                  for i in range(r + 2)]
+    return coeffs
 
 
 def eval_poly_at_matrix(poly: Polynomial, m: Matrix) -> Matrix:
@@ -563,7 +507,7 @@ def spin_submodule(mats, v) -> Subspace:
     if all(c.is_zero() for c in v):
         raise LinalgError("spin_submodule needs a nonzero vector")
     spec = mats[0].spec if mats else v[0].spec
-    span = EchelonBasis()
+    span = EchelonBasis(spec)
     span.insert(v)
     queue = [tuple(v)]
     while queue:

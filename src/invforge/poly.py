@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .errors import EntryParseError, FieldError
-from .fields import FieldElement, _Tokens, _parse_atom
+from .fields import FieldElement, _Tokens, _parse_atom, _parse_expr
 
 
 class Polynomial:
@@ -320,8 +320,8 @@ def parse_polynomial(text, nvars, spec, var_names=None):
             aliases[alias] = idx
     for idx, nm in enumerate(names):
         aliases[nm] = idx
-    toks = _PolyTokens(text, aliases, spec)
-    poly = _poly_expr(toks, nvars, spec)
+    toks = _PolyTokens(text, aliases)
+    poly = _parse_expr(toks, lambda t: _poly_atom(t, nvars, spec))
     toks.skip_ws()
     if toks.pos != len(text):
         raise EntryParseError(f"unexpected character {text[toks.pos]!r}", toks.pos)
@@ -329,10 +329,9 @@ def parse_polynomial(text, nvars, spec, var_names=None):
 
 
 class _PolyTokens(_Tokens):
-    def __init__(self, text, aliases, spec):
+    def __init__(self, text, aliases):
         super().__init__(text)
         self.aliases = aliases
-        self.spec = spec
 
     def try_variable(self):
         self.skip_ws()
@@ -351,55 +350,10 @@ class _PolyTokens(_Tokens):
         return idx
 
 
-def _poly_expr(toks, nvars, spec):
-    value = _poly_term(toks, nvars, spec)
-    while True:
-        ch = toks.peek()
-        if ch == "+":
-            toks.take()
-            value = value + _poly_term(toks, nvars, spec)
-        elif ch == "-":
-            toks.take()
-            value = value - _poly_term(toks, nvars, spec)
-        else:
-            return value
-
-
-def _poly_term(toks, nvars, spec):
-    value = _poly_factor(toks, nvars, spec)
-    while toks.peek() == "*":
-        toks.take()
-        value = value * _poly_factor(toks, nvars, spec)
-    return value
-
-
-def _poly_factor(toks, nvars, spec):
-    negate = False
-    if toks.peek() == "-":
-        toks.take()
-        negate = True
-    value = _poly_atom(toks, nvars, spec)
-    if toks.peek() == "^":
-        toks.take()
-        value = value ** toks.take_uint()
-    return -value if negate else value
-
-
 def _poly_atom(toks, nvars, spec):
-    ch = toks.peek()
-    if ch is None:
-        raise EntryParseError("unexpected end of input", toks.pos)
-    if ch == "(":
-        toks.take()
-        value = _poly_expr(toks, nvars, spec)
-        if toks.peek() != ")":
-            raise EntryParseError("expected ')'", toks.pos)
-        toks.take()
-        return value
     idx = toks.try_variable()
     if idx is not None:
         return Polynomial.variable(spec, nvars, idx)
     # fall back to a single coefficient atom (int, fraction, bare z);
     # products and sums stay at the polynomial level
-    coeff = _parse_atom(toks, spec)
-    return Polynomial.constant(spec, nvars, 1).scale(coeff)
+    return Polynomial.constant(spec, nvars, 1).scale(_parse_atom(toks, spec))

@@ -322,3 +322,37 @@ def test_machine_output_matches_reference(name, argv, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, *argv, "--machine")
     assert code == 0
     assert out.encode() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["molien", "--group", os.path.join(DATA, "q8.group"), "--max-degree", "-1"],
+    ["generators", "--group", os.path.join(DATA, "q8.group"), "--max-degree", "-3"],
+    ["hilbert", "--group", os.path.join(DATA, "q8.group"), "--max-degree", "-1"],
+], ids=["molien", "generators", "hilbert"])
+def test_negative_degree_bound_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--machine")
+    assert code == 1 and out == ""
+    assert err == "error: d_max must be >= 0\n"
+
+
+def test_parabolic_without_a_first_coordinate_refused(capsys):
+    # n = 0 has no hyperplane x1 = 0 (it used to report a vacuous success)
+    code, out, err = run_cli(capsys, "parabolic", "--q", "3", "--n", "0")
+    assert code == 1 and out == ""
+    assert err == "error: the hyperplane x1 = 0 needs n >= 1\n"
+
+
+@pytest.mark.parametrize("lines", [
+    ["gamma = cyclic(2)", "generator = 1", "image = aut 99"],
+    ["gamma = cyclic(2)", "generator = 7", "image = perm 0,3,2,1"],
+    ["gamma = cyclic(2)", "generator = 1", "image = perm 0,3,2"],
+    ["gamma_table = 0,1;1", "generator = 1", "image = perm 0,3,2,1"],
+], ids=["aut-index", "generator", "short-perm", "ragged-table"])
+def test_malformed_action_file_refused(capsys, tmp_path, lines):
+    # each of these used to end in an IndexError traceback
+    path = tmp_path / "bad.action"
+    path.write_text("\n".join(
+        lines + ["module = " + os.path.join(DATA, "mu4mod.group")]) + "\n")
+    code, out, err = run_cli(capsys, "h1", "--action", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")

@@ -115,6 +115,32 @@ def test_m7_invariant_space_scalar_multiplies(monkeypatch):
     assert calls["all"] <= 10_000
 
 
+def test_e8_generator_search_inserts_without_scalar_multiplies(icosahedral, monkeypatch):
+    # EchelonBasis eliminates on integer rows: the generator search's
+    # insertions cost no FieldElement product (FieldElement rows: 10,768)
+    from invforge.fields import FieldElement
+    calls = {"in insert": 0}
+    depth = [0]
+    mul, insert = FieldElement.__mul__, EchelonBasis.insert
+
+    def counted_mul(self, other):
+        calls["in insert"] += depth[0] > 0
+        return mul(self, other)
+
+    def traced_insert(self, vec):
+        depth[0] += 1
+        try:
+            return insert(self, vec)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted_mul)
+    monkeypatch.setattr(EchelonBasis, "insert", traced_insert)
+    assert minimal_generators(icosahedral).degrees == [12, 20, 30]
+    assert calls["in insert"] == 0
+
+
 def test_hilbert_dims_examples():
     mi = close_group([Matrix.from_rows(Q, [[-1, 0], [0, -1]])])
     assert hilbert_dims(mi, 4).dims == (1, 0, 3, 0, 5)
@@ -220,7 +246,7 @@ def test_generators_regenerate_hilbert(mu3, sign_group, icosahedral):
         cache = {}
         for d in range(1, dmax + 1):
             idx = {e: i for i, e in enumerate(monomials(g.n, d))}
-            span = EchelonBasis()
+            span = EchelonBasis(g.spec)
             for expo in weighted_monomials(gs.degrees, d):
                 p = _power_product(gs.polynomials, expo, cache)
                 span.insert(coefficient_vector(p, idx))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +11,11 @@ from invforge.linalg import (EchelonBasis, Matrix, Subspace, char_poly,
                              commutant_basis, eigenspace, eval_poly_at_matrix,
                              intertwiner_space, kernel,
                              simultaneous_eigenvectors, spin_submodule)
-from invforge.poly import parse_polynomial
+from invforge.poly import Polynomial, parse_polynomial
 
 Q = FieldSpec.rationals()
+FIELDS = ["rational", "finite(5)", "finite(2, z^3 + z + 1)", "cyclotomic(20)",
+          "number_field(z^2 + z + 2)", "number_field(z^2 - 1/2)"]
 
 
 def test_kernel_zero_matrix():
@@ -79,12 +82,14 @@ def test_char_poly_positive_characteristic():
 
 def test_cayley_hamilton_random():
     rng = random.Random(9)
-    for n in (2, 3, 4):
-        for _ in range(5):
-            m = Matrix.from_rows(Q, [[rng.randint(-2, 2) for _ in range(n)]
-                                     for _ in range(n)])
-            res = eval_poly_at_matrix(char_poly(m), m)
-            assert all(c.is_zero() for row in res.entries for c in row)
+    for text in ("rational", "finite(5)", "finite(2, z^3 + z + 1)"):
+        spec = parse_field_spec(text)
+        for n in (2, 3, 4, 5):
+            for _ in range(5):
+                m = Matrix(spec, [[spec.random_element(rng, 2) for _ in range(n)]
+                                  for _ in range(n)])
+                res = eval_poly_at_matrix(char_poly(m), m)
+                assert all(c.is_zero() for row in res.entries for c in row)
 
 
 def test_eigenspace_examples():
@@ -147,23 +152,45 @@ def test_intertwiner_space_solves_the_system(quaternion, mu3):
         assert intertwiner_space(gens, gens) == commutant_basis(gens)
 
 
+def _reduce_against(vec, rows):
+    """vec minus its components along the pivots of reduced rows."""
+    for row in rows:
+        f = vec[next(i for i, c in enumerate(row) if not c.is_zero())]
+        vec = [a - f * b for a, b in zip(vec, row)]
+    return vec
+
+
 def test_echelon_basis_matches_subspace():
+    # insertion in any order gives the reference Gauss-Jordan basis, with
+    # the same representative types, over every field kind
     rng = random.Random(5)
-    for spec in (Q, FieldSpec.finite_field(5)):
+    for text in FIELDS:
+        spec = parse_field_spec(text)
         for _ in range(10):
-            vectors = [[spec.from_int(rng.randint(-2, 2)) for _ in range(5)]
+            vectors = [[spec.random_element(rng, 3) for _ in range(5)]
                        for _ in range(3)]
             dependent = [a + b for a, b in zip(vectors[0], vectors[1])]
             vectors.append(dependent)
             want = Subspace(spec, 5, vectors).basis
+            reference, pivots = _gauss_jordan(Matrix(spec, vectors))
+            assert [list(row) for row in want] == reference[:len(pivots)]
             for _ in range(3):
                 rng.shuffle(vectors)
-                span = EchelonBasis()
+                span = EchelonBasis(spec)
                 for v in vectors:
-                    span.insert(v)
+                    residue = _reduce_against(v, span.rows)
+                    row = span.insert(v)
+                    if any(residue):
+                        lead = next(c for c in residue if not c.is_zero())
+                        assert row == [c / lead for c in residue]
+                    else:
+                        assert row is None
                 assert tuple(tuple(row) for row in span.rows) == want
+                assert ([[str(c.rep) for c in row] for row in span.rows]
+                        == [[str(c.rep) for c in row] for row in want])
                 assert span.insert(dependent) is None
                 assert len(span) == len(want)
+                assert all(Subspace(spec, 5, want).contains(v) for v in vectors)
 
 
 def test_spin_submodule():
@@ -276,10 +303,7 @@ def _random_matrix(spec, rng, nrows, ncols):
     return Matrix(spec, rows)
 
 
-@pytest.mark.parametrize("text", [
-    "rational", "finite(5)", "finite(2, z^3 + z + 1)", "cyclotomic(20)",
-    "number_field(z^2 + z + 2)", "number_field(z^2 - 1/2)",
-])
+@pytest.mark.parametrize("text", FIELDS)
 def test_rref_matches_field_element_gauss_jordan(text):
     # the integer-row elimination must give the reference's entries, with
     # the same representative types (point order sorts by str(rep))
@@ -295,3 +319,36 @@ def test_rref_matches_field_element_gauss_jordan(text):
         assert [list(r) for r in red.entries] == want
         assert ([[str(c.rep) for c in r] for r in red.entries]
                 == [[str(c.rep) for c in r] for r in want])
+
+
+def _leibniz_det(rows, zero, one):
+    """Reference determinant: the sum over all permutations."""
+    total = zero
+    for perm in itertools.permutations(range(len(rows))):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_det_and_char_poly_match_leibniz(text):
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    zero, one = Polynomial.zero(spec, 1), Polynomial.constant(spec, 1, 1)
+    x = Polynomial.variable(spec, 1, 0)
+    singular = 0
+    for n in range(6):
+        for _ in range(4):
+            m = _random_matrix(spec, rng, n, n)
+            want = _leibniz_det(m.entries, spec.zero(), spec.one())
+            assert m.det() == want
+            assert str(m.det().rep) == str(want.rep)
+            singular += want.is_zero()
+            # det(xI - m) over k[x]
+            shifted = [[(x if i == j else zero) - one.scale(c)
+                        for j, c in enumerate(row)] for i, row in enumerate(m.entries)]
+            assert char_poly(m) == _leibniz_det(shifted, zero, one)
+    assert singular > 0

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 from .errors import CertificateError, EntryParseError, FieldError
 
+_ZERO = Fraction(0)  # shared: Fractions are immutable
+
 RATIONAL = "rational"
 FINITE = "finite"
 NUMBER_FIELD = "number_field"
@@ -244,10 +246,12 @@ class FieldSpec:
     `_is_zero`, `_inv` and the constant constructor `_const`.
 
     Each kernel also gives the integer-row primitives behind
-    `linalg.Matrix.rref`.  An integer row represents a row of field
+    `linalg.EchelonBasis`, `linalg.combine_rows` (so `Matrix.__mul__`) and
+    the `Polynomial` products.  An integer row represents a row of field
     elements up to a positive integer factor, in a per-kind integer
     representation: `int`s over Q, `int` tuples over a number field, the
-    representatives themselves over F_q.
+    representatives themselves over F_q.  `_add` and `_is_zero` take
+    integer-row entries as well as representatives.
 
     - `_int_row(reps)`: (integer row, positive integer den) with
       reps = row / den;
@@ -450,7 +454,7 @@ class RationalField(FieldSpec):
         return [x // g for x in row], g
 
     def _reps_of_int_row(self, row, d):
-        return [Fraction(x, d) for x in row]
+        return [Fraction(x, d) if x else _ZERO for x in row]
 
 
 class _ExtensionField(FieldSpec):
@@ -666,6 +670,13 @@ class NumberField(_ExtensionField):
         return A, D
 
     def _row_scale(self, A, row):
+        if self.degree == 2:
+            # z'^2 = t0 + t1 z', so A * b = (a0 b0 + t0 a1 b1,
+            # a1 b0 + (a0 + t1 a1) b1)
+            (t0, t1), = self._int_table
+            a0, a1 = A
+            u, v = t0 * a1, a0 + t1 * a1
+            return [(a0 * b0 + u * b1, a1 * b0 + v * b1) for b0, b1 in row]
         table = self._int_table
         return [tuple(_reduced_product(A, b, table)) for b in row]
 
@@ -690,7 +701,8 @@ class NumberField(_ExtensionField):
 
     def _reps_of_int_row(self, row, d):
         pw = self._scale_powers
-        return [tuple(Fraction(x * s, d) for x, s in zip(t, pw)) for t in row]
+        return [tuple(Fraction(x * s, d) if x else _ZERO for x, s in zip(t, pw))
+                for t in row]
 
 
 

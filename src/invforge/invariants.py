@@ -174,25 +174,19 @@ def _orbit_fixed_vectors(spec, basis, gens):
 def _kernel_cut(spec, basis, rows, g):
     """rref basis of the vectors in span(rows) that g fixes.
 
-    The image of a monomial is built the first time a row uses it, so only
-    the rows' support is mapped.
+    Only the monomials in the rows' support are mapped: (rho(g) - 1) * row
+    combines their moved images with the row's coefficients on them.
     """
     index = {e: i for i, e in enumerate(basis)}
-    images = {}
-    cols = []  # (rho(g) - 1) applied to each row
-    for row in rows:
-        acc = [spec.zero()] * len(basis)
-        for i, c in enumerate(row):
-            if c.is_zero():
-                continue
-            if i not in images:
-                images[i] = _monomial_image(spec, g, basis[i])
-            for e, pc in images[i].terms.items():
-                acc[index[e]] = acc[index[e]] + c * pc
-            acc[i] = acc[i] - c
-        cols.append(acc)
+    support = sorted({i for row in rows for i, c in enumerate(row) if not c.is_zero()})
+    moved = []
+    for i in support:
+        image = coefficient_vector(_monomial_image(spec, g, basis[i]), index)
+        image[i] = image[i] - spec.one()
+        moved.append(image)
+    cols = combine_rows(spec, [[row[i] for i in support] for row in rows], moved)
     ker = kernel(Matrix(spec, cols).transpose())
-    new_rows = combine_rows(ker.basis, rows)
+    new_rows = combine_rows(spec, ker.basis, rows)
     if not new_rows:
         return []
     red, pivots = Matrix(spec, new_rows).rref()
@@ -402,6 +396,7 @@ def find_relation(gs: GeneratorSet, wdeg_max):
     """
     group = gs.group
     spec = group.spec
+    _check_degree_bound(wdeg_max)
     m = len(gs.generators)
     degrees, polys = gs.degrees, gs.polynomials
     power_cache = {}

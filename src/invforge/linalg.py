@@ -112,22 +112,11 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            return Matrix(self.spec, [[a * other for a in row] for row in self.entries])
+            other = Matrix.scalar(other.spec, self.cols, other)
         self._check_same(other)
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in product")
-        bt = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            new_row = []
-            for col in bt:
-                acc = None
-                for a, b in zip(row, col):
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                new_row.append(acc if acc is not None else self.spec.zero())
-            out.append(new_row)
-        return Matrix(self.spec, out)
+        return Matrix(self.spec, combine_rows(self.spec, self.entries, other.entries))
 
     def __pow__(self, e):
         if self.rows != self.cols:
@@ -315,23 +304,43 @@ class EchelonBasis:
         return at
 
 
-def combine_rows(coefficients, rows):
+def combine_rows(spec, coefficients, rows):
     """The vectors sum_i c_i rows[i], one per coefficient tuple c.
 
-    Only the nonzero entries of each row are visited.
+    On integer rows: the rows are converted once over one denominator and
+    the coefficients once over another, only nonzero entries are visited,
+    and FieldElements are built at the end.
     """
-    zero = rows[0][0].spec.zero()
-    support = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
-               for row in rows]
+    scale, add = spec._row_scale, spec._add
+    width = len(rows[0]) if rows else 0
+    rows, den = _sparse_int_rows(spec, rows)
+    coefficients, c_den = _sparse_int_rows(spec, coefficients)
+    zero, den = spec.zero(), den * c_den
     out = []
-    for coeffs in coefficients:
-        vec = [zero] * len(rows[0])
-        for c, entries in zip(coeffs, support):
-            if not c.is_zero():
-                for j, b in entries:
-                    vec[j] = vec[j] + c * b
+    for positions, c_ints in coefficients:
+        acc = {}
+        for i, c in zip(positions, c_ints):
+            cols, entries = rows[i]
+            for j, x in zip(cols, scale(c, entries)):
+                acc[j] = add(acc[j], x) if j in acc else x
+        vec = [zero] * width
+        for j, r in zip(acc, spec._reps_of_int_row(list(acc.values()), den)):
+            vec[j] = FieldElement(spec, r)
         out.append(vec)
     return out
+
+
+def _sparse_int_rows(spec, rows):
+    """([(nonzero positions, their integer entries)] per row, den): the
+    nonzero entries of rows of FieldElements over one denominator."""
+    support = [[j for j, b in enumerate(row) if not b.is_zero()] for row in rows]
+    ints, den = spec._int_row([row[j].rep for row, cols in zip(rows, support)
+                               for j in cols])
+    out, k = [], 0
+    for cols in support:
+        out.append((cols, ints[k:k + len(cols)]))
+        k += len(cols)
+    return out, den
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -544,7 +553,8 @@ def joint_eigenspaces(mats):
                 # {w in span(piece) : (m - lam) w = 0} via coefficient kernel
                 ker = kernel((m - Matrix.scalar(spec, n, lam)) * bt)
                 if ker.dim:
-                    refined.append(Subspace(spec, n, combine_rows(ker.basis, piece)).basis)
+                    refined.append(
+                        Subspace(spec, n, combine_rows(spec, ker.basis, piece)).basis)
         pieces = refined
         if not pieces:
             break

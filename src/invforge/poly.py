@@ -8,6 +8,7 @@ used for rendering, monomial bases and single-divisor division.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import EntryParseError, FieldError
@@ -82,16 +83,9 @@ class Polynomial:
         if isinstance(other, FieldElement):
             return self.scale(other)
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                if e in terms:
-                    terms[e] = terms[e] + c
-                else:
-                    terms[e] = c
-        return Polynomial(self.spec, self.nvars, terms)
+        (a, b), _, den = _int_terms(self.spec, [self, other])
+        return _poly_of_int_terms(self.spec, self.nvars, _int_mul(self.spec, a, b),
+                                  den * den)
 
     def scale(self, c):
         if c.is_zero():
@@ -102,14 +96,12 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise FieldError("negative polynomial power")
-        result = Polynomial.constant(self.spec, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        (base,), one, den = _int_terms(self.spec, [self])
+        if k == 0:
+            return _poly_of_int_terms(self.spec, self.nvars,
+                                      {(0,) * self.nvars: one}, den)
+        return _poly_of_int_terms(self.spec, self.nvars,
+                                  _int_pow(self.spec, base, k), den ** k)
 
     # -- structure ---------------------------------------------------------
 
@@ -168,26 +160,44 @@ class Polynomial:
         return total
 
     def compose(self, images):
-        """Substitute images[i] for variable i; images share one ring."""
+        """Substitute images[i] for variable i; images share one ring.
+
+        On integer terms over one denominator den: the term c * x^e maps
+        to c * prod images[i]^e[i], over den^(1 + |e|).  Multiplying it
+        top - |e| times by `one`, the integer row of 1 (= den / den), for
+        the top |e| of any term, puts every term over den^(1 + top).
+        """
         if len(images) != self.nvars:
             raise FieldError("compose needs one image per variable")
-        target = images[0] if images else None
-        out = None
-        power_cache = [dict() for _ in images]
-        for e, c in self.terms.items():
-            term = Polynomial.constant(target.spec, target.nvars, 1).scale(c) \
-                if target is not None else None
-            for i, a in enumerate(e):
+        if not images:
+            return Polynomial.zero(self.spec, self.nvars)
+        target = images[0]
+        for image in images:
+            target._check(image)
+        if target.spec != self.spec:
+            raise FieldError("field spec mismatch")
+        spec = self.spec
+        (coeffs, *bases), one, den = _int_terms(spec, [self, *images])
+        scale, add = spec._row_scale, spec._add
+        top = max(map(sum, coeffs), default=0)
+        powers = [{1: base} for base in bases]
+        out = {}
+        for e, c in coeffs.items():
+            for _ in range(top - sum(e)):
+                c, = scale(one, [c])
+            prod = None
+            for cache, base, a in zip(powers, bases, e):
                 if a:
-                    cache = power_cache[i]
                     if a not in cache:
-                        cache[a] = images[i] ** a
-                    term = term * cache[a]
-            out = term if out is None else out + term
-        if out is None:
-            return Polynomial.zero(self.spec if target is None else target.spec,
-                                   self.nvars if target is None else target.nvars)
-        return out
+                        cache[a] = _int_pow(spec, base, a)
+                    prod = cache[a] if prod is None else _int_mul(spec, prod, cache[a])
+            if prod is None:
+                terms = [((0,) * target.nvars, c)]
+            else:
+                terms = zip(prod, scale(c, list(prod.values())))
+            for f, x in terms:
+                out[f] = add(out[f], x) if f in out else x
+        return _poly_of_int_terms(spec, target.nvars, out, den ** (1 + top))
 
     def translate(self, point):
         """f(x + point) via per-variable binomial expansion."""
@@ -297,6 +307,55 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self.render()}>"
+
+
+# ---------------------------------------------------------------------------
+# integer terms: {exponents: integer-row entry} dicts over one denominator
+# (the FieldSpec integer-row primitives).  Products and powers run on them;
+# FieldElements are built once, by the public call that returns.
+# ---------------------------------------------------------------------------
+
+def _int_terms(spec, polys):
+    """(dicts, one, den): the terms of polys as integer-row entries over one
+    positive integer den, and the integer row of 1 over den."""
+    reps = [c.rep for p in polys for c in p.terms.values()]
+    ints, den = spec._int_row(reps + [spec.one().rep])
+    dicts, k = [], 0
+    for p in polys:
+        dicts.append(dict(zip(p.terms, ints[k:k + len(p.terms)])))
+        k += len(p.terms)
+    return dicts, ints[-1], den
+
+
+def _int_mul(spec, p, q):
+    """Product of two integer-term dicts (over den_p * den_q)."""
+    scale, add, is_zero = spec._row_scale, spec._add, spec._is_zero
+    q_expos, q_ints = list(q), list(q.values())
+    out = {}
+    for e1, c1 in p.items():
+        for e2, x in zip(q_expos, scale(c1, q_ints)):
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = add(out[e], x) if e in out else x
+    return {e: x for e, x in out.items() if not is_zero(x)}
+
+
+def _int_pow(spec, p, k):
+    """p^k for k >= 1 by repeated squaring (over den^k)."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else _int_mul(spec, result, p)
+        k >>= 1
+        if not k:
+            return result
+        p = _int_mul(spec, p, p)
+
+
+def _poly_of_int_terms(spec, nvars, terms, den):
+    """The Polynomial of an integer-term dict over den."""
+    reps = spec._reps_of_int_row(list(terms.values()), den)
+    return Polynomial(spec, nvars,
+                      {e: FieldElement(spec, r) for e, r in zip(terms, reps)})
 
 
 def default_var_names(nvars):

@@ -328,7 +328,8 @@ def test_machine_output_matches_reference(name, argv, capsys, monkeypatch):
     ["molien", "--group", os.path.join(DATA, "q8.group"), "--max-degree", "-1"],
     ["generators", "--group", os.path.join(DATA, "q8.group"), "--max-degree", "-3"],
     ["hilbert", "--group", os.path.join(DATA, "q8.group"), "--max-degree", "-1"],
-], ids=["molien", "generators", "hilbert"])
+    ["relation", "--group", os.path.join(DATA, "q8.group"), "--wdeg-max", "-1"],
+], ids=["molien", "generators", "hilbert", "relation"])
 def test_negative_degree_bound_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--machine")
     assert code == 1 and out == ""

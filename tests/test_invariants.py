@@ -86,9 +86,10 @@ def test_invariant_space_maps_only_the_running_support(icosahedral, monkeypatch)
 
 
 def test_m7_invariant_space_scalar_multiplies(monkeypatch):
-    # rref eliminates on integer rows and combine_rows skips zero entries:
-    # the 91 x 91 degree-12 kernel costs no FieldElement product, and what
-    # is left is mapping the monomials (FieldElement elimination: 286,902)
+    # rref, the monomial images and both combine_rows run on integer rows:
+    # the 91 x 91 degree-12 kernel cut costs no FieldElement product, and
+    # what is left is orbit transport's 91 unit coefficients (FieldElement
+    # elimination: 286,902; FieldElement accumulation and images: 9,280)
     from invforge.fields import FieldElement
     m7 = corpus.load_corpus_group("m7.group")
     calls = {"all": 0, "in rref": 0}
@@ -112,7 +113,7 @@ def test_m7_invariant_space_scalar_multiplies(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", traced_rref)
     assert len(invariant_space(m7, 12)) == 13
     assert calls["in rref"] == 0
-    assert calls["all"] <= 10_000
+    assert calls["all"] <= 91
 
 
 def test_e8_generator_search_inserts_without_scalar_multiplies(icosahedral, monkeypatch):
@@ -391,3 +392,37 @@ def test_apply_matrix_composition(mu3):
     lhs = apply_matrix(g1, apply_matrix(g1, f))
     rhs = apply_matrix(g1 * g1, f)
     assert lhs == rhs
+
+
+def test_e8_products_make_no_scalar_multiplies(icosahedral, monkeypatch):
+    # Polynomial and Matrix products convert their operands to integer rows
+    # once per call: closing e8 and searching its generators costs them no
+    # FieldElement product (FieldElement loops: 1,920 in the closure and
+    # 13,222 in the search)
+    from invforge.fields import FieldElement
+    calls = {"inside": 0}
+    depth = [0]
+    mul = FieldElement.__mul__
+
+    def counted_mul(self, other):
+        calls["inside"] += depth[0] > 0
+        return mul(self, other)
+
+    def traced(method):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted_mul)
+    for cls, name in ((Polynomial, "__mul__"), (Polynomial, "__pow__"),
+                      (Polynomial, "compose"), (Matrix, "__mul__")):
+        monkeypatch.setattr(cls, name, traced(getattr(cls, name)))
+    group = close_group(icosahedral.generators())
+    assert group.order == 120
+    assert minimal_generators(group).degrees == [12, 20, 30]
+    assert calls["inside"] == 0

@@ -352,3 +352,108 @@ def test_det_and_char_poly_match_leibniz(text):
                         for j, c in enumerate(row)] for i, row in enumerate(m.entries)]
             assert char_poly(m) == _leibniz_det(shifted, zero, one)
     assert singular > 0
+
+
+# ---------------------------------------------------------------------------
+# products on integer rows against FieldElement references
+# ---------------------------------------------------------------------------
+
+def _random_scalar(spec, rng):
+    """A random element with a denominator where the field has them."""
+    den = spec.from_int(rng.randint(1, 4))
+    return spec.random_element(rng, 5) / (den if den else spec.one())
+
+
+def _random_poly(spec, rng, nvars, nterms, max_deg):
+    terms = {}
+    for _ in range(nterms):
+        expo = tuple(rng.randint(0, max_deg) for _ in range(nvars))
+        terms[expo] = _random_scalar(spec, rng)
+    return Polynomial(spec, nvars, terms)
+
+
+def _ref_mul(a, b):
+    """Product of two {exponents: FieldElement} dicts, zero terms dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _ref_compose(p, images, nvars):
+    out = {}
+    for e, c in p.terms.items():
+        term = {(0,) * nvars: c}
+        for image, a in zip(images, e):
+            for _ in range(a):
+                term = _ref_mul(term, image.terms)
+        for f, x in term.items():
+            out[f] = out[f] + x if f in out else x
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _same_terms(got, want):
+    # values, and the representatives' types (renders go through str(rep))
+    assert got.terms == want
+    assert (sorted((e, str(c.rep)) for e, c in got.terms.items())
+            == sorted((e, str(c.rep)) for e, c in want.items()))
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_polynomial_products_match_field_element_reference(text):
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    one = {(0, 0): spec.one()}
+    for _ in range(6):
+        polys = [Polynomial.zero(spec, 2), Polynomial.constant(spec, 2, 1),
+                 Polynomial.constant(spec, 2, 0) + _random_poly(spec, rng, 2, 1, 0)]
+        polys += [_random_poly(spec, rng, 2, n, 3) for n in (1, 2, 4)]
+        for p in polys:
+            for q in polys:
+                _same_terms(p * q, _ref_mul(p.terms, q.terms))
+            want = one
+            for k in range(6):
+                _same_terms(p ** k, want)
+                want = _ref_mul(want, p.terms)
+            # non-homogeneous images with different denominators, into
+            # a ring with three variables
+            images = [_random_poly(spec, rng, 3, n, 2) for n in (1, 3)]
+            _same_terms(p.compose(images), _ref_compose(p, images, 3))
+            rows = [[_random_scalar(spec, rng) if rng.random() < 0.7 else spec.zero()
+                     for _ in range(2)] for _ in range(2)]
+            linear = [Polynomial(spec, 2, {(int(j == 0), int(j == 1)): c
+                                           for j, c in enumerate(row)})
+                      for row in rows]
+            _same_terms(p.substitute_linear(rows), _ref_compose(p, linear, 2))
+    # terms of degrees 2, 1 and 0, and images over different denominators
+    f = parse_polynomial("x1^2 + 3*x2 + 1", 2, spec)
+    texts = (["1/2*x1 + 1/3", "1/5*x2"] if spec.characteristic() == 0
+             else ["x1 + 1", "x1*x2"])
+    images = [parse_polynomial(t, 2, spec) for t in texts]
+    _same_terms(f.compose(images), _ref_compose(f, images, 2))
+
+
+def _ref_matmul(a, b):
+    zero = a.spec.zero()
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b.entries)]
+            for row in a.entries]
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_matrix_product_matches_field_element_reference(text):
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    shapes = [(2, 2, 2), (4, 4, 4), (5, 2, 3), (2, 5, 1), (1, 4, 4), (3, 0, 0),
+              (0, 0, 0)]
+    for n, k, m in shapes * 3:
+        a = _random_matrix(spec, rng, n, k)
+        b = _random_matrix(spec, rng, k, m)
+        got, want = a * b, _ref_matmul(a, b)
+        assert (got.rows, got.cols) == (n, m)
+        assert [list(r) for r in got.entries] == want
+        assert ([[str(c.rep) for c in r] for r in got.entries]
+                == [[str(c.rep) for c in r] for r in want])
+        c = _random_scalar(spec, rng)
+        assert (a * c).entries == tuple(tuple(x * c for x in r) for r in a.entries)

@@ -23,8 +23,9 @@ from .geometry import (check_claim_51, check_parabolic_claim,
 from .groups import (DEFAULT_AUT_BOUND, close_group, is_absolutely_irreducible,
                      is_diagonalizable_over_k, load_group_file,
                      pseudo_reflections)
-from .invariants import (find_relation, hilbert_dims, minimal_generators,
-                         molien_series, scaled_torus_exponents)
+from .invariants import (check_degree_bound, find_relation, hilbert_dims,
+                         minimal_generators, molien_series,
+                         scaled_torus_exponents)
 from .normalizer import normalizer_report
 from .poly import parse_polynomial
 from . import corpus
@@ -166,6 +167,8 @@ def cmd_generators(args):
 
 
 def cmd_relation(args):
+    # refuse a bad bound before the generator search, not after it
+    check_degree_bound(args.wdeg_max)
     g = load_group_file(args.group)
     gs = minimal_generators(g, d_max=args.max_degree)
     rel = find_relation(gs, args.wdeg_max)

@@ -192,13 +192,7 @@ def all_projective_linear_forms(spec, n):
     """Product of all linear forms with first nonzero coefficient 1."""
     prod = Polynomial.constant(spec, n, 1)
     for coeffs in _normalized_vectors(spec, n):
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if not c.is_zero():
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        prod = prod * Polynomial(spec, n, terms)
+        prod = prod * Polynomial.linear(spec, coeffs)
     return prod
 
 
@@ -217,8 +211,9 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
 
     h = None uses the product of all projective linear forms.  The report
     notes log the closed-form degree/multiplicity formulas
-    (q^(n-1)-1)/(q-1) and (q^(n-2)-1)/(q-1) next to the computed values;
-    the convention behind those formulas is not asserted, only logged.
+    (q^(n-1)-1)/(q-1) and, for n >= 2, (q^(n-2)-1)/(q-1) next to the
+    computed values; the convention behind those formulas is not asserted,
+    only logged.
     """
     if h is None:
         if spec is None:
@@ -241,9 +236,10 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
                 "polynomial is not invariant under the hyperplane stabilizer",
                 violating_generator=g)
     deg = h.total_degree()
-    # affine chart x1 = 1
+    # affine chart x1 = 1: h(1, x2, ..., xn) in the last n - 1 variables
     one = spec.one()
-    dehom = _dehomogenize_first(h)
+    dehom = h.compose([Polynomial.constant(spec, n - 1, 1)]
+                      + [Polynomial.variable(spec, n - 1, i) for i in range(n - 1)])
     max_mult = 0
     argmax = None
     witnesses = []
@@ -255,29 +251,18 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
             max_mult = m
             argmax = (one,) + pt
     verdict = q * max_mult <= deg
+    closed_form = f"deg = (q^(n-1)-1)/(q-1) = {(q ** (n - 1) - 1) // (q - 1)}"
+    if n >= 2:  # q ** (n - 2) is a float for n < 2
+        closed_form += (f", mult = (q^(n-2)-1)/(q-1) = "
+                        f"{(q ** (n - 2) - 1) // (q - 1)}")
     notes = [
         f"computed: deg = {deg}, max multiplicity off (x1=0) = {max_mult}",
-        f"closed-form values for comparison (not asserted): "
-        f"deg = (q^(n-1)-1)/(q-1) = {(q ** (n - 1) - 1) // (q - 1)}, "
-        f"mult = (q^(n-2)-1)/(q-1) = {(q ** (n - 2) - 1) // (q - 1)}",
+        "closed-form values for comparison (not asserted): " + closed_form,
     ]
     if argmax is not None:
         notes.append("max attained at " +
                      "(" + " : ".join(c.render() for c in argmax) + ")")
     return MultReport(h, deg, witnesses, max_mult, deg, verdict, notes)
-
-
-def _dehomogenize_first(h):
-    """h(1, x2, ..., xn) as a polynomial in the last n-1 variables."""
-    spec = h.spec
-    terms = {}
-    for e, c in h.terms.items():
-        key = e[1:]
-        if key in terms:
-            terms[key] = terms[key] + c
-        else:
-            terms[key] = c
-    return Polynomial(spec, h.nvars - 1, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,13 @@ def _kernel_cut(spec, basis, rows, g):
     return [list(r) for r in red.entries[: len(pivots)]]
 
 
-def _check_degree_bound(d_max):
+def check_degree_bound(d_max):
     if d_max < 0:
         raise InvForgeError("d_max must be >= 0")
 
 
 def hilbert_dims(group: FiniteMatrixGroup, d_max) -> GradedDims:
-    _check_degree_bound(d_max)
+    check_degree_bound(d_max)
     return GradedDims([len(invariant_space(group, d)) for d in range(d_max + 1)])
 
 
@@ -213,7 +213,7 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
     Elements are bucketed by characteristic polynomial; each bucket's series
     inverse is a linear recurrence of length n.
     """
-    _check_degree_bound(d_max)
+    check_degree_bound(d_max)
     if group.spec.characteristic() != 0:
         raise ModularityError("Molien series requires characteristic 0")
     spec, n = group.spec, group.n
@@ -310,7 +310,7 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             raise ModularityError(
                 "modular case: pass an explicit degree bound d_max")
         d_max = group.order
-    _check_degree_bound(d_max)
+    check_degree_bound(d_max)
     mol = None
     if p == 0:
         mol = molien_series(group, d_max)
@@ -396,7 +396,7 @@ def find_relation(gs: GeneratorSet, wdeg_max):
     """
     group = gs.group
     spec = group.spec
-    _check_degree_bound(wdeg_max)
+    check_degree_bound(wdeg_max)
     m = len(gs.generators)
     degrees, polys = gs.degrees, gs.polynomials
     power_cache = {}

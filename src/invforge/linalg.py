@@ -134,16 +134,13 @@ class Matrix:
         return result
 
     def apply(self, vec):
-        """Matrix times a column vector (tuple of FieldElements)."""
+        """Matrix times a column vector (tuple of FieldElements): the
+        combination sum_j vec[j] * (column j)."""
         if len(vec) != self.cols:
             raise LinalgError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = self.spec.zero()
-            for a, x in zip(row, vec):
-                acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        if not self.cols:  # no columns to combine: the zero vector of k^rows
+            return (self.spec.zero(),) * self.rows
+        return tuple(combine_rows(self.spec, [vec], list(zip(*self.entries)))[0])
 
     def transpose(self):
         return Matrix(self.spec, list(zip(*self.entries)))

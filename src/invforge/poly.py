@@ -7,7 +7,6 @@ used for rendering, monomial bases and single-divisor division.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -44,6 +43,13 @@ class Polynomial:
         expo = [0] * nvars
         expo[i] = 1
         return Polynomial(spec, nvars, {tuple(expo): spec.one()})
+
+    @staticmethod
+    def linear(spec, coeffs):
+        """The linear form sum_i coeffs[i] * x_i in len(coeffs) variables."""
+        n = len(coeffs)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return Polynomial(spec, n, dict(zip(units, coeffs)))
 
     @staticmethod
     def monomial(spec, nvars, expo, coeff=None):
@@ -149,15 +155,9 @@ class Polynomial:
     # -- evaluation / substitution -----------------------------------------
 
     def evaluate(self, point):
-        """Value at a tuple of FieldElements."""
-        total = self.spec.zero()
-        for e, c in self.terms.items():
-            v = c
-            for x, a in zip(point, e):
-                if a:
-                    v = v * (x ** a)
-            total = total + v
-        return total
+        """Value at a tuple of FieldElements: compose into the 0-variable ring."""
+        images = [Polynomial.constant(self.spec, 0, p) for p in point]
+        return self.compose(images).terms.get((), self.spec.zero())
 
     def compose(self, images):
         """Substitute images[i] for variable i; images share one ring.
@@ -170,7 +170,7 @@ class Polynomial:
         if len(images) != self.nvars:
             raise FieldError("compose needs one image per variable")
         if not images:
-            return Polynomial.zero(self.spec, self.nvars)
+            return self
         target = images[0]
         for image in images:
             target._check(image)
@@ -200,50 +200,14 @@ class Polynomial:
         return _poly_of_int_terms(spec, target.nvars, out, den ** (1 + top))
 
     def translate(self, point):
-        """f(x + point) via per-variable binomial expansion."""
-        spec = self.spec
-        terms = {}
-        for e, c in self.terms.items():
-            # expand prod_i (x_i + p_i)^{e_i}
-            partial = {(): c}
-            for i, a in enumerate(e):
-                p_i = point[i]
-                new = {}
-                if a == 0 or p_i.is_zero():
-                    for pref, coef in partial.items():
-                        new[pref + (a,)] = coef
-                else:
-                    powers = [spec.one()]
-                    for _ in range(a):
-                        powers.append(powers[-1] * p_i)
-                    for pref, coef in partial.items():
-                        for k in range(a + 1):
-                            w = coef * spec.from_int(math.comb(a, k)) * powers[a - k]
-                            key = pref + (k,)
-                            if key in new:
-                                new[key] = new[key] + w
-                            else:
-                                new[key] = w
-                partial = new
-            for expo, coef in partial.items():
-                if expo in terms:
-                    terms[expo] = terms[expo] + coef
-                else:
-                    terms[expo] = coef
-        return Polynomial(spec, self.nvars, terms)
+        """f(x + point): compose with the images x_i + point[i]."""
+        return self.compose([Polynomial.variable(self.spec, self.nvars, i)
+                             + Polynomial.constant(self.spec, self.nvars, p)
+                             for i, p in enumerate(point)])
 
     def substitute_linear(self, rows):
         """Replace variable i by the linear form rows[i] (list of coefficients)."""
-        images = []
-        for row in rows:
-            terms = {}
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    e = [0] * self.nvars
-                    e[j] = 1
-                    terms[tuple(e)] = c
-            images.append(Polynomial(self.spec, self.nvars, terms))
-        return self.compose(images)
+        return self.compose([Polynomial.linear(self.spec, row) for row in rows])
 
     # -- division ------------------------------------------------------------
 

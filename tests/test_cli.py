@@ -357,3 +357,45 @@ def test_malformed_action_file_refused(capsys, tmp_path, lines):
     code, out, err = run_cli(capsys, "h1", "--action", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ")
+
+
+# fixed-points and info reach Polynomial.evaluate through the eigenvalue
+# search, and parabolic reaches translate and the dehomogenization.  Their
+# stdout, stderr and exit codes were captured by running
+# `python -m invforge.cli <argv> --machine` from the repo root while both
+# still ran FieldElement loops, so any change of bytes shows here.
+with open(os.path.join(ROOT, "tests", "data", "cli-machine-outputs.json")) as fh:
+    PINNED = json.load(fh)
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_machine_output_matches_pinned_bytes(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, *argv.split(), "--machine")
+    assert (code, out, err) == (PINNED[argv]["exit_code"], PINNED[argv]["stdout"],
+                                PINNED[argv]["stderr"])
+
+
+def test_negative_relation_bound_refused_before_the_search(capsys, monkeypatch):
+    from invforge import cli
+
+    def no_search(*args, **kwargs):
+        pytest.fail("minimal_generators ran for a negative --wdeg-max")
+
+    monkeypatch.setattr(cli, "minimal_generators", no_search)
+    code, out, err = run_cli(capsys, "relation", "--group",
+                             os.path.join(DATA, "e8.group"), "--wdeg-max", "-1",
+                             "--machine")
+    assert code == 1 and out == ""
+    assert err == "error: d_max must be >= 0\n"
+
+
+def test_parabolic_n1_notes_have_no_float(capsys):
+    # the multiplicity closed form (q^(n-2)-1)/(q-1) needs n >= 2
+    code, out, _ = run_cli(capsys, "parabolic", "--q", "3", "--n", "1", "--machine")
+    assert code == 0
+    assert json.loads(out)["outputs"]["notes"] == [
+        "computed: deg = 1, max multiplicity off (x1=0) = 0",
+        "closed-form values for comparison (not asserted): "
+        "deg = (q^(n-1)-1)/(q-1) = 0",
+    ]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -457,3 +458,114 @@ def test_matrix_product_matches_field_element_reference(text):
                 == [[str(c.rep) for c in r] for r in want])
         c = _random_scalar(spec, rng)
         assert (a * c).entries == tuple(tuple(x * c for x in r) for r in a.entries)
+
+
+# ---------------------------------------------------------------------------
+# substitution and matrix-vector products against FieldElement references
+# ---------------------------------------------------------------------------
+
+def _ref_translate(p, point):
+    """f(x + point) by per-variable binomial expansion on FieldElements."""
+    spec, terms = p.spec, {}
+    for e, c in p.terms.items():
+        partial = {(): c}
+        for a, x in zip(e, point):
+            partial = {pref + (k,): coef * spec.from_int(math.comb(a, k)) * x ** (a - k)
+                       for pref, coef in partial.items() for k in range(a + 1)}
+        for f, coef in partial.items():
+            terms[f] = terms[f] + coef if f in terms else coef
+    return {e: c for e, c in terms.items() if not c.is_zero()}
+
+
+def _ref_evaluate(p, point):
+    """sum_e c_e * prod x_i^e_i on FieldElements."""
+    total = p.spec.zero()
+    for e, c in p.terms.items():
+        for x, a in zip(point, e):
+            c = c * x ** a
+        total = total + c
+    return total
+
+
+def _ref_dehomogenize(p):
+    """p(1, x2, ..., xn): the terms with the first exponent dropped, summed."""
+    terms = {}
+    for e, c in p.terms.items():
+        terms[e[1:]] = terms[e[1:]] + c if e[1:] in terms else c
+    return {e: c for e, c in terms.items() if not c.is_zero()}
+
+
+def _same_scalar(got, want):
+    assert got == want and str(got.rep) == str(want.rep)
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_substitution_matches_field_element_reference(text):
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    for nvars in range(4):
+        polys = [Polynomial.zero(spec, nvars), Polynomial.constant(spec, nvars, 3)]
+        polys += [_random_poly(spec, rng, nvars, n, 3) for n in (1, 3, 5)]
+        point = tuple(_random_scalar(spec, rng) for _ in range(nvars))
+        points = [(spec.zero(),) * nvars, point,
+                  tuple(x if i % 2 else spec.zero() for i, x in enumerate(point))]
+        for p in polys:
+            for pt in points:
+                _same_terms(p.translate(pt), _ref_translate(p, pt))
+                _same_scalar(p.evaluate(pt), _ref_evaluate(p, pt))
+            if nvars:
+                # the affine chart x1 = 1 of check_parabolic_claim
+                chart = [Polynomial.constant(spec, nvars - 1, 1)]
+                chart += [Polynomial.variable(spec, nvars - 1, i)
+                          for i in range(nvars - 1)]
+                _same_terms(p.compose(chart), _ref_dehomogenize(p))
+
+
+def test_compose_of_no_images_is_the_polynomial_itself():
+    for p in (Polynomial.constant(Q, 0, 5), Polynomial.zero(Q, 0)):
+        assert p.compose([]) == p
+        assert p.translate(()) == p
+        _same_scalar(p.evaluate(()), _ref_evaluate(p, ()))
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_matrix_apply_matches_field_element_dot_product(text):
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    for n, k in [(2, 2), (4, 4), (3, 5), (5, 1), (1, 3), (3, 0), (0, 0)] * 3:
+        m = _random_matrix(spec, rng, n, k)
+        vec = tuple(_random_scalar(spec, rng) if rng.random() < 0.7 else spec.zero()
+                    for _ in range(k))
+        got = m.apply(vec)
+        want = [sum((a * x for a, x in zip(row, vec)), spec.zero())
+                for row in m.entries]
+        assert isinstance(got, tuple) and len(got) == n
+        for x, y in zip(got, want):
+            _same_scalar(x, y)
+    with pytest.raises(LinalgError):
+        Matrix.identity(spec, 2).apply((spec.one(),))
+
+
+def test_substitution_and_apply_make_no_field_element_product(monkeypatch):
+    # translate, evaluate and Matrix.apply run on integer terms and rows
+    from invforge.fields import FieldElement
+    cases = []
+    for text in ("finite(5)", "cyclotomic(20)"):
+        spec = parse_field_spec(text)
+        p = parse_polynomial("x1^3*x2 + 2*x2^2*x3 - x1*x3 + 4", 3, spec)
+        point = (spec.from_int(2), spec.one() + spec.gen(), spec.from_int(3))
+        m = Matrix.from_rows(spec, [[1, 2, 0], [0, 3, 4], [1, 0, 1], [2, 2, 2]])
+        cases.append((p, point, m))
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    for p, point, m in cases:
+        p.translate(point)
+        p.evaluate(point)
+        m.apply(point)
+    assert calls == []

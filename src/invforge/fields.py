@@ -2,15 +2,16 @@
 
 Cyclotomic fields are number fields with the n-th cyclotomic polynomial as
 modulus; they additionally carry the conjugation automorphism z -> z^(n-1).
-Elements are canonical representatives: a reduced Fraction over Q, or a
-coefficient tuple of degree < deg(modulus) otherwise.  Everything here is
-immutable and hashable, so values can be shared freely.
+Elements are canonical representatives: a reduced Fraction over Q, a
+coefficient tuple over F_q, an integer tuple over a denominator in a number
+field.  Everything here is immutable and hashable, so values can be shared.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -250,8 +251,8 @@ class FieldSpec:
     the `Polynomial` products.  An integer row represents a row of field
     elements up to a positive integer factor, in a per-kind integer
     representation: `int`s over Q, `int` tuples over a number field, the
-    representatives themselves over F_q.  `_add` and `_is_zero` take
-    integer-row entries as well as representatives.
+    representatives themselves over F_q.  `_int_add` and `_int_is_zero` are
+    `_add` and `_is_zero` on integer-row entries.
 
     - `_int_row(reps)`: (integer row, positive integer den) with
       reps = row / den;
@@ -264,7 +265,7 @@ class FieldSpec:
     - `_reps_of_int_row(row, d)`: the representatives of row / d.
     """
 
-    __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_red_table", "_hash")
+    __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_hash")
     kind = None
 
     def __init__(self, p=None, modulus=None, cyclotomic_n=None):
@@ -272,7 +273,6 @@ class FieldSpec:
         self.modulus = tuple(modulus) if modulus is not None else None
         self.cyclotomic_n = cyclotomic_n
         self.degree = (len(self.modulus) - 1) if self.modulus else 1
-        self._red_table = None
         self._hash = hash((self.kind, p, self.modulus, cyclotomic_n))
 
     # -- constructors ------------------------------------------------------
@@ -366,25 +366,18 @@ class FieldSpec:
     def from_int(self, k):
         return FieldElement(self, self._const(k))
 
-    def from_fraction(self, fr):
-        return FieldElement(self, self._const(fr))
+    from_fraction = from_int
 
     def _as_rational(self, rep):
         raise FieldError("element is not a rational constant")
 
+    def _coefficients(self, rep):
+        """What rendering reads: the Fraction over Q, else the z^k coefficients."""
+        return rep
+
     def conjugate_element(self, elt):
         """Complex conjugation z -> z^(n-1) on a cyclotomic field."""
-        if not self.is_cyclotomic():
-            raise FieldError("conjugation requires a cyclotomic field spec")
-        n = self.cyclotomic_n
-        zbar = self.gen() ** ((n - 1) % n) if n > 1 else self.one()
-        out = self.zero()
-        power = self.one()
-        for c in elt.rep:
-            if c:
-                out = out + FieldElement(self, self._const(c)) * power
-            power = power * zbar
-        return out
+        raise FieldError("conjugation requires a cyclotomic field spec")
 
 
 class RationalField(FieldSpec):
@@ -420,6 +413,8 @@ class RationalField(FieldSpec):
 
     def _is_zero(self, a):
         return a == 0
+
+    _int_add, _int_is_zero = _add, _is_zero
 
     def _inv(self, a):
         if a == 0:
@@ -458,8 +453,8 @@ class RationalField(FieldSpec):
 
 
 class _ExtensionField(FieldSpec):
-    """What F_p[z]/(m) and Q[z]/(m) share: a representative is the tuple of
-    coefficients of z^0 .. z^(deg m - 1), each in normal form (`_red`)."""
+    """What F_p[z]/(m) and Q[z]/(m) share: elements are polynomials in z of
+    degree < deg m, with coefficients (`_coefficients`) in normal form."""
 
     __slots__ = ()
 
@@ -468,26 +463,20 @@ class _ExtensionField(FieldSpec):
         if self.degree == 1:
             # z reduces to a constant modulo a degree-1 modulus
             return FieldElement(self, self._const(-self.modulus[0]))
-        rep = list(self._const(0))
-        rep[1] = self._const(1)[0]
-        return FieldElement(self, tuple(rep))
+        return FieldElement(self, self._from_coefficients(
+            (0, 1) + (0,) * (self.degree - 2)))
 
     def _is_zero(self, a):
         return not any(a)
 
-    def _reduction_table(self):
-        if self._red_table is None:
-            red = self._red
-            self._red_table = _reduction_rows(
-                [red(-c) for c in self.modulus[:self.degree]], red)
-        return self._red_table
+    _int_is_zero = _is_zero
 
-    def _inv(self, a):
+    def _inv(self, a, modulus=None):
         if not any(a):
             raise FieldError("division by zero")
         # extended Euclid against the modulus: find s with s*a = gcd mod modulus
         red, cinv = self._red, self._cinv
-        r0, r1 = list(self.modulus), _trim(a)
+        r0, r1 = list(modulus or self.modulus), _trim(a)
         s0, s1 = [], [1]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1, red, cinv)
@@ -501,15 +490,21 @@ class _ExtensionField(FieldSpec):
 
     def _render(self, rep):
         return _join_terms((k,) + self._render_coeff(c)
-                           for k, c in enumerate(rep) if c)
+                           for k, c in enumerate(self._coefficients(rep)) if c)
 
 
 class FiniteField(_ExtensionField):
     """F_p[z]/(modulus), F_p itself for modulus z; coefficients are ints mod p."""
 
-    __slots__ = ()
+    __slots__ = ("_red_table",)
     kind = FINITE
     _modulus_name = "modulus"
+    _from_coefficients = staticmethod(tuple)
+
+    def __init__(self, p, modulus):
+        super().__init__(p=p, modulus=modulus)
+        self._red_table = _reduction_rows(
+            [self._red(-c) for c in self.modulus[:self.degree]], self._red)
 
     def describe(self):
         if self.degree == 1:
@@ -554,6 +549,8 @@ class FiniteField(_ExtensionField):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
+    _int_add = _add
+
     def _sub(self, a, b):
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
@@ -566,7 +563,7 @@ class FiniteField(_ExtensionField):
         p = self.p
         if self.degree == 1:
             return ((a[0] * b[0]) % p,)
-        return tuple(c % p for c in _reduced_product(a, b, self._reduction_table()))
+        return tuple(c % p for c in _reduced_product(a, b, self._red_table))
 
     @staticmethod
     def _render_coeff(c):
@@ -598,15 +595,15 @@ class FiniteField(_ExtensionField):
 
 
 class NumberField(_ExtensionField):
-    """Q[z]/(min_poly), cyclotomic when cyclotomic_n is set; coefficients are Fractions.
+    """Q[z]/(min_poly), cyclotomic when cyclotomic_n is set.
 
-    Integer rows hold int coordinates in the basis z'^k of z' = s*z, where
-    s is the least common denominator of min_poly: z' has the monic
-    integral minimal polynomial s^deg * min_poly(z'/s), so products of
-    integer tuples stay integral whether or not min_poly is.
+    A representative (t, d) is sum t[k] z'^k / d: an int tuple t in the basis
+    of z' = s*z, d > 0, gcd(t, d) = 1.  s is the least common denominator
+    of min_poly, so z' has the monic integral minimal polynomial
+    s^deg * min_poly(z'/s) and products of integer tuples stay integral.
     """
 
-    __slots__ = ("_scale_powers", "_int_table")
+    __slots__ = ("_scale_powers", "_int_table", "_conjugation")
     kind = NUMBER_FIELD
     _modulus_name = "min_poly"
     _red = staticmethod(_exact)
@@ -621,6 +618,7 @@ class NumberField(_ExtensionField):
         self._int_table = _reduction_rows(
             [int(-c * s ** (deg - k)) for k, c in enumerate(self.modulus[:deg])],
             _exact)
+        self._conjugation = None
 
     def describe(self):
         if self.cyclotomic_n is not None:
@@ -628,46 +626,82 @@ class NumberField(_ExtensionField):
         return f"number_field({render_univariate(self.modulus)})"
 
     def _const(self, c):
-        rep = [Fraction(0)] * self.degree
-        rep[0] = Fraction(c)
-        return tuple(rep)
+        c = Fraction(c)
+        return (c.numerator,) + (0,) * (self.degree - 1), c.denominator
 
     def random_element(self, rng, height=10):
-        return FieldElement(self, tuple(Fraction(rng.randint(-height, height))
-                                        for _ in range(self.degree)))
+        return FieldElement(self, self._from_coefficients(
+            [rng.randint(-height, height) for _ in range(self.degree)]))
+
+    def _coefficients(self, rep):
+        t, d = rep
+        return tuple(Fraction(x * s, d) if x else _ZERO
+                     for x, s in zip(t, self._scale_powers))
+
+    def _from_coefficients(self, coeffs):
+        # over den, the lcm of the reduced denominators, the content is 1
+        fr = [Fraction(c, s) for c, s in zip(coeffs, self._scale_powers)]
+        den = math.lcm(*(f.denominator for f in fr))
+        return tuple(f.numerator * (den // f.denominator) for f in fr), den
+
+    def _is_zero(self, a):
+        return not any(a[0])
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        (s, d), (t, e) = a, b
+        if d == e:
+            return _reduced(tuple(map(operator.add, s, t)), d)
+        return _reduced(tuple(x * e + y * d for x, y in zip(s, t)), d * e)
 
     def _sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return self._add(a, self._neg(b))
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        t, d = a
+        return tuple(map(operator.neg, t)), d
 
     def _mul(self, a, b):
-        if self.degree == 1:
-            return (a[0] * b[0],)
-        return tuple(Fraction(c) for c in
-                     _reduced_product(a, b, self._reduction_table()))
+        (s, d), (t, e) = a, b
+        return _reduced(self._row_scale(s, [t])[0], d * e)
+
+    def _inv(self, a):
+        t, d = a
+        A, D = self._integral_inverse(t)
+        return _reduced(tuple(d * x for x in A), D)
 
     def _as_rational(self, rep):
-        if any(rep[1:]):
+        (c, *rest), d = rep
+        if any(rest):
             raise FieldError("element is not a rational constant")
-        return rep[0]
+        return Fraction(c, d)
+
+    def conjugate_element(self, elt):
+        if self.cyclotomic_n is None:
+            return super().conjugate_element(elt)
+        if self._conjugation is None:
+            # columns of the integer map z^k -> zbar^k, zbar = z^(n-1): Phi_n
+            # is monic integral, so s = 1 and powers of zbar have d = 1
+            zbar = self.gen() ** (self.cyclotomic_n - 1)
+            self._conjugation = tuple(zip(*((zbar ** k).rep[0] for k in range(self.degree))))
+        t, d = elt.rep
+        return FieldElement(self, _reduced(
+            tuple(sum(map(operator.mul, t, col)) for col in self._conjugation), d))
 
     # -- integer rows: int tuples in the basis z'^k -------------------------
 
+    def _int_add(self, a, b):
+        return tuple(map(operator.add, a, b))
+
     def _int_row(self, reps):
-        pw = self._scale_powers
-        den = math.lcm(*(c.denominator * s for t in reps for c, s in zip(t, pw)))
-        return [tuple(c.numerator * (den // (c.denominator * s))
-                      for c, s in zip(t, pw)) for t in reps], den
+        den = math.lcm(*(d for _, d in reps))
+        return [t if d == den else tuple(x * (den // d) for x in t)
+                for t, d in reps], den
 
     def _integral_inverse(self, a):
-        (A,), D = self._int_row(
-            [self._inv(tuple(x * s for x, s in zip(a, self._scale_powers)))])
-        return A, D
+        # extended Euclid against the integral minimal polynomial of z'
+        fr = super()._inv(a, [-c for c in self._int_table[0]] + [1])
+        D = math.lcm(*(f.denominator for f in fr))
+        return tuple(f.numerator * (D // f.denominator) for f in fr), D
 
     def _row_scale(self, A, row):
         if self.degree == 2:
@@ -700,10 +734,13 @@ class NumberField(_ExtensionField):
         return [tuple(map(g.__rfloordiv__, t)) for t in row], g
 
     def _reps_of_int_row(self, row, d):
-        pw = self._scale_powers
-        return [tuple(Fraction(x * s, d) if x else _ZERO for x, s in zip(t, pw))
-                for t in row]
+        return [_reduced(t, d) for t in row]
 
+
+def _reduced(t, d):
+    """The number-field representative of the int tuple t over d > 0."""
+    g = math.gcd(d, *t)
+    return (t, d) if g == 1 else (tuple(x // g for x in t), d // g)
 
 
 def _check_min_poly_irreducible(mp):
@@ -714,9 +751,7 @@ def _check_min_poly_irreducible(mp):
         warnings.warn("min_poly degree > 8: irreducibility not verified")
         return
     # clear denominators for the rational-root test
-    den = 1
-    for c in mp:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in mp))
     ip = [int(c * den) for c in mp]
     lead, const = ip[-1], ip[0]
     if const == 0:

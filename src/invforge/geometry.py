@@ -44,7 +44,7 @@ def projective_fixed_points(group: FiniteMatrixGroup):
     """Common eigenlines of the group over its declared field, normalized."""
     lines = simultaneous_eigenvectors(group.generators())
     points = [ProjPoint(v) for v in lines]
-    points.sort(key=lambda p: tuple(str(c.rep) for c in p.coords))
+    points.sort(key=lambda p: tuple(str(c.spec._coefficients(c.rep)) for c in p.coords))
     return points
 
 
@@ -125,16 +125,8 @@ def parabolic_generators(spec: FieldSpec, n):
         raise InvForgeError("parabolic subgroup defined over a finite field")
     gens = []
     one, zero = spec.one(), spec.zero()
-    if spec.degree == 1:
-        basis_scalars = [one]
-    else:
-        basis_scalars = []
-        power = one
-        for _ in range(spec.degree):
-            basis_scalars.append(power)
-            power = power * spec.gen()
     for i in range(1, n):
-        for c in basis_scalars:
+        for c in [spec.gen() ** k for k in range(spec.degree)]:
             m = [[one if a == b else zero for b in range(n)] for a in range(n)]
             m[i][0] = c
             gens.append(Matrix(spec, m))
@@ -297,30 +289,23 @@ def deleted_permutation_module(perms, n, p):
     spec = FieldSpec.finite_field(p)
     one, zero = spec.one(), spec.zero()
     mats = []
-    if n % p != 0:
-        # sigma(e_i - e_n) = e_{sigma(i)} - e_{sigma(n)} = b_{sigma(i)} - b_{sigma(n)}
-        for sigma in perms:
-            cols = []
-            for i in range(n - 1):
-                col = [zero] * (n - 1)
+    for sigma in perms:
+        cols = []
+        for i in range(n - 1):
+            col = [zero] * (n - 1)
+            if n % p != 0:
+                # sigma(e_i - e_n) = e_{sigma(i)} - e_{sigma(n)} = b_{sigma(i)} - b_{sigma(n)}
                 if sigma[i] != n - 1:
                     col[sigma[i]] = col[sigma[i]] + one
                 if sigma[n - 1] != n - 1:
                     col[sigma[n - 1]] = col[sigma[n - 1]] - one
-                cols.append(col)
-            mats.append(Matrix(spec, list(zip(*cols))))
-    else:
-        # quotient: e_n = -(e_1 + ... + e_{n-1}) modulo the all-ones vector
-        for sigma in perms:
-            cols = []
-            for i in range(n - 1):
-                col = [zero] * (n - 1)
-                if sigma[i] != n - 1:
-                    col[sigma[i]] = one
-                else:
-                    col = [c - one for c in col]
-                cols.append(col)
-            mats.append(Matrix(spec, list(zip(*cols))))
+            elif sigma[i] != n - 1:
+                col[sigma[i]] = one
+            else:
+                # quotient: e_n = -(e_1 + ... + e_{n-1}) modulo the all-ones vector
+                col = [c - one for c in col]
+            cols.append(col)
+        mats.append(Matrix(spec, list(zip(*cols))))
     return spec, mats
 
 

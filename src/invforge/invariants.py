@@ -22,19 +22,20 @@ from .poly import Polynomial
 
 def weighted_monomials(degrees, w):
     """Exponent tuples e with sum e_i * degrees[i] = w, descending lex."""
+    if not degrees:
+        return [()] if w == 0 else []
     out = []
 
     def rec(i, remaining, prefix):
-        if i == len(degrees):
-            if remaining == 0:
-                out.append(tuple(prefix))
+        if i == len(degrees) - 1:
+            # the last exponent is what remains, if its degree divides it
+            if remaining >= 0 and remaining % degrees[i] == 0:
+                out.append(prefix + (remaining // degrees[i],))
             return
-        max_e = remaining // degrees[i]
-        for e in range(max_e, -1, -1):
-            rec(i + 1, remaining - e * degrees[i], prefix + [e])
+        for e in range(remaining // degrees[i], -1, -1):
+            rec(i + 1, remaining - e * degrees[i], prefix + (e,))
 
-    rec(0, w, [])
-    out.sort(reverse=True)
+    rec(0, w, ())
     return out
 
 
@@ -467,9 +468,7 @@ def cst_quotient_action(group: FiniteMatrixGroup) -> ReductionReport:
     spec, n = group.spec, group.n
     w = reflection_subgroup(group)
     basics = minimal_generators(w, d_max=w.order)
-    prod = 1
-    for d in basics.degrees:
-        prod *= d
+    prod = math.prod(basics.degrees)
     if len(basics) != n or prod != w.order:
         raise InvForgeError(
             "reflection subgroup invariants are not polynomial "

@@ -46,9 +46,7 @@ class Matrix:
 
     @staticmethod
     def identity(spec, n):
-        one, zero = spec.one(), spec.zero()
-        return Matrix(spec, [[one if i == j else zero for j in range(n)]
-                             for i in range(n)])
+        return Matrix.scalar(spec, n, spec.one())
 
     @staticmethod
     def zero(spec, rows, cols):
@@ -57,9 +55,7 @@ class Matrix:
 
     @staticmethod
     def scalar(spec, n, c):
-        zero = spec.zero()
-        return Matrix(spec, [[c if i == j else zero for j in range(n)]
-                             for i in range(n)])
+        return Matrix.diagonal(spec, [c] * n)
 
     @staticmethod
     def diagonal(spec, diag):
@@ -277,7 +273,7 @@ class EchelonBasis:
     def _insert(self, row):
         """Fold an integer row into the basis; its index, or None if in the span."""
         spec = self.spec
-        is_zero, combine, primitive = (spec._is_zero, spec._row_combine,
+        is_zero, combine, primitive = (spec._int_is_zero, spec._row_combine,
                                        spec._row_primitive)
         for lead, pivot, d in zip(self.pivots, self.ints, self.dens):
             f = row[lead]
@@ -308,7 +304,7 @@ def combine_rows(spec, coefficients, rows):
     the coefficients once over another, only nonzero entries are visited,
     and FieldElements are built at the end.
     """
-    scale, add = spec._row_scale, spec._add
+    scale, add = spec._row_scale, spec._int_add
     width = len(rows[0]) if rows else 0
     rows, den = _sparse_int_rows(spec, rows)
     coefficients, c_den = _sparse_int_rows(spec, coefficients)
@@ -439,14 +435,11 @@ def eigenvalue_candidates(m: Matrix):
             rational_coeffs = False
             break
     if rational_coeffs and coeffs:
-        from fractions import Fraction
-        deg = max(coeffs)
-        lead = coeffs.get(deg, Fraction(0))
-        const = coeffs.get(0, Fraction(0))
+        lead, const = coeffs[max(coeffs)], coeffs.get(0, 0)
         consider(spec.zero())
         if const != 0:
-            num = abs(const.numerator * (lead.denominator if lead else 1))
-            den = abs(lead.numerator * const.denominator) if lead else 1
+            num = abs(const.numerator * lead.denominator)
+            den = abs(lead.numerator * const.denominator)
             for root in rational_root_candidates(num, den):
                 consider(spec.from_fraction(root))
     # roots of unity reachable as +-z^k

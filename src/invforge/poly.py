@@ -40,9 +40,7 @@ class Polynomial:
 
     @staticmethod
     def variable(spec, nvars, i):
-        expo = [0] * nvars
-        expo[i] = 1
-        return Polynomial(spec, nvars, {tuple(expo): spec.one()})
+        return Polynomial.monomial(spec, nvars, [int(j == i) for j in range(nvars)])
 
     @staticmethod
     def linear(spec, coeffs):
@@ -66,21 +64,11 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            if e in terms:
-                terms[e] = terms[e] + c
-            else:
-                terms[e] = c
+            terms[e] = terms[e] + c if e in terms else c
         return Polynomial(self.spec, self.nvars, terms)
 
     def __sub__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in terms:
-                terms[e] = terms[e] - c
-            else:
-                terms[e] = -c
-        return Polynomial(self.spec, self.nvars, terms)
+        return self + -other
 
     def __neg__(self):
         return Polynomial(self.spec, self.nvars, {e: -c for e, c in self.terms.items()})
@@ -178,7 +166,7 @@ class Polynomial:
             raise FieldError("field spec mismatch")
         spec = self.spec
         (coeffs, *bases), one, den = _int_terms(spec, [self, *images])
-        scale, add = spec._row_scale, spec._add
+        scale, add = spec._row_scale, spec._int_add
         top = max(map(sum, coeffs), default=0)
         powers = [{1: base} for base in bases]
         out = {}
@@ -293,7 +281,7 @@ def _int_terms(spec, polys):
 
 def _int_mul(spec, p, q):
     """Product of two integer-term dicts (over den_p * den_q)."""
-    scale, add, is_zero = spec._row_scale, spec._add, spec._is_zero
+    scale, add, is_zero = spec._row_scale, spec._int_add, spec._int_is_zero
     q_expos, q_ints = list(q), list(q.values())
     out = {}
     for e1, c1 in p.items():

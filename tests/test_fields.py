@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,12 @@ def test_field_axioms_random(spec):
             assert (a / b) * b == a
 
 
+def _coefficients(x):
+    """The coefficients that rendering reads: a Fraction over Q, else the
+    z^k coefficients (ints mod p, or Fractions over a number field)."""
+    return x.spec._coefficients(x.rep)
+
+
 @pytest.mark.parametrize("text", [
     "rational", "finite(7)", "finite(3, z^2 + 1)", "finite(2, z^3 + z + 1)",
     "cyclotomic(20)", "number_field(z^2 + z + 2)",
@@ -170,14 +178,24 @@ def test_spec_hash_and_rep_types(text):
         assert type((spec.from_int(5) * spec.zero()).rep) is Fraction
         return
     # F_{p^m} coefficients are ints, number-field coefficients Fractions,
-    # never a bare int 0 (sorting by str(rep) relies on it)
+    # never a bare int 0 (sorting by str(_coefficients) relies on it).  An
+    # F_{p^m} rep is its coefficient tuple; a number-field rep is an int
+    # tuple over a positive int denominator, with no common factor.
     coeff_type = int if spec.kind == "finite" else Fraction
     x = spec.gen() * spec.from_int(5) if spec.degree > 1 else spec.from_int(5)
     if spec.degree > 1:
-        assert 0 in x.rep
+        assert 0 in _coefficients(x)
     for elt in (x, x * x, (x + 1).inverse(), spec.zero() * x, -x, x - x):
-        assert type(elt.rep) is tuple and len(elt.rep) == spec.degree
-        assert all(type(c) is coeff_type for c in elt.rep)
+        coeffs = _coefficients(elt)
+        assert type(coeffs) is tuple and len(coeffs) == spec.degree
+        assert all(type(c) is coeff_type for c in coeffs)
+        if spec.kind == "finite":
+            assert elt.rep == coeffs
+            continue
+        ints, den = elt.rep
+        assert type(ints) is tuple and len(ints) == spec.degree
+        assert all(type(c) is int for c in ints + (den,))
+        assert den > 0 and math.gcd(den, *ints) == 1
 
 
 @pytest.mark.parametrize("spec", [
@@ -219,3 +237,186 @@ def test_polynomial_single_divisor_division():
     assert quo == parse_polynomial("x + y", 2, q)
     assert g.divides(f)
     assert not parse_polynomial("x^2", 2, q).divides(f)
+
+
+# ---------------------------------------------------------------------------
+# number fields against a Fraction-tuple oracle
+# ---------------------------------------------------------------------------
+
+NUMBER_FIELDS = ["cyclotomic(20)", "number_field(z^2 + z + 2)",
+                 "number_field(z^2 + 1/2*z + 1/3)", "number_field(z - 3/2)"]
+# every number field the tests use, for the fixed-point sort key
+ALL_NUMBER_FIELDS = NUMBER_FIELDS + [
+    "cyclotomic(1)", "cyclotomic(3)", "cyclotomic(4)", "cyclotomic(5)",
+    "cyclotomic(6)", "cyclotomic(8)", "cyclotomic(12)", "number_field(z^2 - 1/2)"]
+
+
+class _FractionTuples:
+    """Q[z]/(min_poly) on tuples of Fraction coefficients of z^0 .. z^(deg-1):
+    an oracle independent of the library's representation."""
+
+    def __init__(self, spec):
+        self.m = [Fraction(c) for c in spec.modulus]
+        self.deg = len(self.m) - 1
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        prod = [Fraction(0)] * (2 * self.deg - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for k in range(len(prod) - 1, self.deg - 1, -1):
+            # z^k = -sum_i m[i] z^(k - deg + i)
+            c, prod[k] = prod[k], Fraction(0)
+            for i in range(self.deg):
+                prod[k - self.deg + i] -= c * self.m[i]
+        return tuple(prod[:self.deg])
+
+    def inv(self, a):
+        # Gauss-Jordan on [M | e_0], column j of M being a * z^j
+        d = self.deg
+        cols = [self.mul(a, tuple(Fraction(int(i == j)) for i in range(d)))
+                for j in range(d)]
+        rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
+                for i in range(d)]
+        for c in range(d):
+            p = next(r for r in range(c, d) if rows[r][c])
+            rows[c], rows[p] = rows[p], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(d):
+                if r != c and rows[r][c]:
+                    f = rows[r][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+        return tuple(row[-1] for row in rows)
+
+    def random(self, rng):
+        return tuple(Fraction(0) if rng.random() < 0.3 else
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(self.deg))
+
+
+def _render_fraction_tuple(coeffs):
+    """The entry-grammar string of sum coeffs[k] z^k."""
+    out = ""
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        zpow = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+        mag = str(abs(c))
+        body = mag if not zpow else zpow if mag == "1" else f"{mag}*{zpow}"
+        if not out:
+            out = "-" + body if c < 0 else body
+        else:
+            out += (" - " if c < 0 else " + ") + body
+    return out or "0"
+
+
+def _element(spec, coeffs):
+    z = spec.gen()
+    return sum((spec.from_fraction(c) * z ** k for k, c in enumerate(coeffs)),
+               spec.zero())
+
+
+@pytest.mark.parametrize("text", NUMBER_FIELDS)
+def test_number_field_matches_fraction_tuple_oracle(text):
+    spec = parse_field_spec(text)
+    ref = _FractionTuples(spec)
+    rng = random.Random(text)
+    zero = (Fraction(0),) * ref.deg
+    for trial in range(150):
+        ra, rb = ref.random(rng), (zero if trial == 0 else ref.random(rng))
+        a, b = _element(spec, ra), _element(spec, rb)
+        assert _coefficients(a) == ra and _coefficients(b) == rb
+        assert _coefficients(a + b) == ref.add(ra, rb)
+        assert _coefficients(a - b) == ref.add(ra, ref.neg(rb))
+        assert _coefficients(-a) == ref.neg(ra)
+        assert _coefficients(a * b) == ref.mul(ra, rb)
+        if any(rb):
+            assert _coefficients(b.inverse()) == ref.inv(rb)
+            assert _coefficients(a / b) == ref.mul(ra, ref.inv(rb))
+        assert (a == b) == (ra == rb)
+        assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        assert a.render() == _render_fraction_tuple(ra)
+        assert parse_element(a.render(), spec) == a
+        row, den = spec._int_row([a.rep, b.rep])
+        assert spec._reps_of_int_row(row, den) == [a.rep, b.rep]
+    if ref.deg == 1:
+        assert spec.gen().as_rational() == -ref.m[0]
+    assert spec.from_fraction(Fraction(-5, 6)).as_rational() == Fraction(-5, 6)
+    assert spec.from_int(3) == 3 and spec.from_fraction(Fraction(1, 2)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text", ALL_NUMBER_FIELDS)
+def test_fixed_point_sort_key_is_the_fraction_tuple_string(text):
+    # projective_fixed_points sorts coordinates by str(spec._coefficients(rep)),
+    # the str of the Fraction tuple that number fields used to store
+    spec = parse_field_spec(text)
+    ref = _FractionTuples(spec)
+    rng = random.Random(text)
+    for _ in range(100):
+        coeffs = ref.random(rng)
+        assert str(_coefficients(_element(spec, coeffs))) == str(coeffs)
+
+
+def _fractions_built(fn):
+    """The number of Fraction objects constructed while fn() runs."""
+    codes = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        codes.add(Fraction._from_coprime_ints.__func__.__code__)
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("text", NUMBER_FIELDS)
+def test_number_field_scalar_ops_build_no_fraction(text):
+    spec = parse_field_spec(text)
+    rng = random.Random(3)
+    reps = [(spec.random_element(rng) / spec.from_int(rng.randint(1, 6))).rep
+            for _ in range(20)]
+
+    def scalar_ops_and_row_conversions():
+        for a, b in zip(reps, reps[1:]):
+            spec._add(a, b), spec._sub(a, b), spec._neg(a), spec._mul(a, b)
+        spec._reps_of_int_row(*spec._int_row(reps))
+
+    assert _fractions_built(scalar_ops_and_row_conversions) == 0
+    assert _fractions_built(lambda: _coefficients(spec.from_int(1))) > 0
+
+
+def _conjugate_by_zbar_powers(elt):
+    """Conjugation as sum c_k zbar^k with zbar = z^(n-1), on FieldElements."""
+    spec = elt.spec
+    n = spec.cyclotomic_n
+    zbar = spec.gen() ** ((n - 1) % n) if n > 1 else spec.one()
+    out, power = spec.zero(), spec.one()
+    for c in _coefficients(elt):
+        if c:
+            out = out + spec.from_fraction(c) * power
+        power = power * zbar
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 20])
+def test_conjugation_map_matches_zbar_powers(n):
+    spec = FieldSpec.cyclotomic(n)
+    rng = random.Random(n)
+    for _ in range(100):
+        a = spec.random_element(rng) / spec.from_int(rng.randint(1, 6))
+        assert a.conjugate() == _conjugate_by_zbar_powers(a)

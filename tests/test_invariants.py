@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -426,3 +427,20 @@ def test_e8_products_make_no_scalar_multiplies(icosahedral, monkeypatch):
     assert group.order == 120
     assert minimal_generators(group).degrees == [12, 20, 30]
     assert calls["inside"] == 0
+
+
+@pytest.mark.parametrize("degrees", [
+    (), (1,), (3,), (1, 1), (2, 3), (3, 2), (12, 20), (1, 1, 1), (3, 1, 2),
+    (4, 6, 3), (1, 1, 1, 1), (2, 3, 5, 7)])
+def test_weighted_monomials_match_brute_force(degrees):
+    # the last degree need not divide what the others leave: (2, 3) at w = 1,
+    # (3, 2) at odd remainders, (4, 6, 3) at most weights
+    from invforge.invariants import weighted_monomials
+    for w in range(-1, 16):
+        ranges = [range(w // d + 1) for d in degrees]
+        want = sorted((e for e in itertools.product(*ranges)
+                       if sum(a * d for a, d in zip(e, degrees)) == w),
+                      reverse=True)
+        assert weighted_monomials(degrees, w) == want, (degrees, w)
+        if set(degrees) <= {1}:
+            assert monomials(len(degrees), w) == want

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .errors import BoundExceededError, ClosureCapError, InvForgeError
 from .fields import FieldSpec, parse_field_spec

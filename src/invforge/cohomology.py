@@ -9,10 +9,11 @@ perfect base field; that hypothesis is documented, not enforced.
 from __future__ import annotations
 
 import itertools
+import os
 
 from .errors import BoundExceededError, InvForgeError
 from .fields import FieldSpec
-from .groups import automorphism_group
+from .groups import automorphism_group, load_group_file
 from .tables import TableGroup, is_automorphism
 
 H1_ENUMERATION_BOUND = 10 ** 6
@@ -226,7 +227,7 @@ def square_class_forms(field):
 #   image = perm 0,3,2,1   |  image = aut 5
 # ---------------------------------------------------------------------------
 
-def parse_action_text(text, base_dir=None, group_loader=None):
+def parse_action_text(text, base_dir=None):
     gamma = None
     module_group = None
     module_table = None
@@ -253,13 +254,8 @@ def parse_action_text(text, base_dir=None, group_loader=None):
                     f"list 0..{len(rows) - 1}")
             gamma = TableGroup(rows)
         elif key == "module":
-            if group_loader is None:
-                from .groups import load_group_file
-                import os
-                path = value if base_dir is None else os.path.join(base_dir, value)
-                module_group = load_group_file(path)
-            else:
-                module_group = group_loader(value)
+            path = value if base_dir is None else os.path.join(base_dir, value)
+            module_group = load_group_file(path)
             module_table = module_group.table_group()
         elif key == "generator":
             pending_gen = int(value)
@@ -300,6 +296,5 @@ def parse_action_text(text, base_dir=None, group_loader=None):
 
 
 def load_action_file(path):
-    import os
     with open(path, "r", encoding="utf-8") as fh:
         return parse_action_text(fh.read(), base_dir=os.path.dirname(path))

@@ -217,15 +217,20 @@ def _signed_fraction(c):
     return _render_fraction(abs(c)), c < 0
 
 
+def _z_power(k):
+    """The monomial string of z^k: "" for a constant."""
+    return "" if k == 0 else "z" if k == 1 else f"z^{k}"
+
+
 def _join_terms(terms):
-    """Entry expression of a sum of (k, |c| string, c < 0) terms c*z^k, in order."""
+    """Expression of a sum of (monomial, |c| string, c < 0) terms c*monomial,
+    in order; the monomial is "" for a constant."""
     out = []
-    for k, coeff_str, negative in terms:
-        if k == 0:
+    for monomial, coeff_str, negative in terms:
+        if not monomial:
             body = coeff_str
         else:
-            zpow = "z" if k == 1 else f"z^{k}"
-            body = zpow if coeff_str == "1" else f"{coeff_str}*{zpow}"
+            body = monomial if coeff_str == "1" else f"{coeff_str}*{monomial}"
         if not out:
             out.append(f"-{body}" if negative else body)
         else:
@@ -351,9 +356,6 @@ class FieldSpec:
     def elements(self):
         """All elements of a finite field, in deterministic coefficient order."""
         raise FieldError("cannot enumerate an infinite field")
-
-    def is_cyclotomic(self):
-        return self.cyclotomic_n is not None
 
     # -- element constructors --------------------------------------------
 
@@ -489,7 +491,7 @@ class _ExtensionField(FieldSpec):
         return tuple(red(x * c) for x in s1[:self.degree])
 
     def _render(self, rep):
-        return _join_terms((k,) + self._render_coeff(c)
+        return _join_terms((_z_power(k),) + self._render_coeff(c)
                            for k, c in enumerate(self._coefficients(rep)) if c)
 
 
@@ -1012,7 +1014,7 @@ def _parse_atom(toks, spec):
 
 def render_univariate(coeffs):
     """Render an integer/Fraction coefficient list as an entry expression in z."""
-    return _join_terms((k,) + _signed_fraction(coeffs[k])
+    return _join_terms((_z_power(k),) + _signed_fraction(coeffs[k])
                        for k in range(len(coeffs) - 1, -1, -1) if coeffs[k] != 0)
 
 

@@ -9,6 +9,7 @@ import itertools
 from .errors import BoundExceededError, InvForgeError, NotInvariantError
 from .fields import FieldSpec
 from .groups import FiniteMatrixGroup
+from .invariants import apply_matrix
 from .linalg import Matrix, simultaneous_eigenvectors, spin_submodule
 from .poly import Polynomial
 from . import tables
@@ -98,6 +99,8 @@ def check_claim_51(f: Polynomial, n=None):
     if spec.kind != "finite":
         raise InvForgeError("multiplicity sums run over a finite field")
     n = n if n is not None else f.nvars
+    if n < 1:
+        raise InvForgeError("the bound q^(n-1) * deg f needs n >= 1")
     q = spec.size()
     deg = f.total_degree()
     total = 0
@@ -169,7 +172,6 @@ def _multiplicative_generator(spec):
 
 def _is_semi_invariant(h, m):
     """h(m x) = lambda * h for some scalar lambda (hypersurface invariance)."""
-    from .invariants import apply_matrix
     img = apply_matrix(m, h)
     if img.is_zero() != h.is_zero():
         return False

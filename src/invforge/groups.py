@@ -291,18 +291,14 @@ def natural_character(g: FiniteMatrixGroup):
 def character_inner_product(g: FiniteMatrixGroup, chi, psi):
     """<chi, psi> = (1/|G|) sum chi(x) conj(psi(x)), char 0 only.
 
-    Conjugation uses the cyclotomic automorphism z -> z^(n-1) when available
-    and psi(x^{-1}) otherwise (equal for characters of representations).
+    psi is a character, so conj(psi(x)) = psi(x^{-1}): this holds over every
+    field of characteristic 0, with or without a complex conjugation.
     """
     if g.spec.characteristic() != 0:
         raise ModularityError("character inner product needs characteristic 0")
     total = g.spec.zero()
-    use_conj = g.spec.is_cyclotomic()
     for i in range(g.order):
-        if use_conj:
-            total = total + chi[i] * psi[i].conjugate()
-        else:
-            total = total + chi[i] * psi[g.inverse(i)]
+        total = total + chi[i] * psi[g.inverse(i)]
     return total / g.spec.from_int(g.order)
 
 
@@ -338,6 +334,8 @@ def parse_group_text(text, close=True):
         raise InvForgeError("group file needs 'field' and 'dim'")
     spec = parse_field_spec(fields["field"])
     n = int(fields["dim"])
+    if n < 1:
+        raise InvForgeError(f"group file needs dim >= 1, got {n}")
     gens = []
     for gtext in fields["generator"]:
         entries = [e.strip() for e in gtext.split(",")]

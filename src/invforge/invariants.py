@@ -16,7 +16,7 @@ import math
 from .errors import InvForgeError, ModularityError
 from .groups import (FiniteMatrixGroup, pseudo_reflections,
                      reflection_subgroup)
-from .linalg import EchelonBasis, Matrix, combine_rows, kernel
+from .linalg import EchelonBasis, Matrix, _berkowitz, combine_rows, kernel
 from .poly import Polynomial
 
 
@@ -173,7 +173,8 @@ def _orbit_fixed_vectors(spec, basis, gens):
 
 
 def _kernel_cut(spec, basis, rows, g):
-    """rref basis of the vectors in span(rows) that g fixes.
+    """rref basis of the vectors in span(rows) that g fixes; rows is an rref
+    basis (the identity, orbit-transport output or an earlier cut).
 
     Only the monomials in the rows' support are mapped: (rho(g) - 1) * row
     combines their moved images with the row's coefficients on them.
@@ -187,11 +188,10 @@ def _kernel_cut(spec, basis, rows, g):
         moved.append(image)
     cols = combine_rows(spec, [[row[i] for i in support] for row in rows], moved)
     ker = kernel(Matrix(spec, cols).transpose())
-    new_rows = combine_rows(spec, ker.basis, rows)
-    if not new_rows:
-        return []
-    red, pivots = Matrix(spec, new_rows).rref()
-    return [list(r) for r in red.entries[: len(pivots)]]
+    # No second elimination: for C the rref kernel basis and R the rref
+    # rows, row j of C * R is C[j][i] at R's i-th pivot column and zero left
+    # of R[q_j]'s pivot (q_j the pivot of C[j]), so C * R is rref already.
+    return combine_rows(spec, ker.basis, rows)
 
 
 def check_degree_bound(d_max):
@@ -219,18 +219,16 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
         raise ModularityError("Molien series requires characteristic 0")
     spec, n = group.spec, group.n
     buckets = {}
-    from .linalg import char_poly
     for m in group.elements:
-        cp = char_poly(m)
-        key = tuple(cp.terms.get((k,), spec.zero()).rep for k in range(n + 1))
+        # det(1 - t g) = sum_k c_k t^k for char poly x^n + c_1 x^{n-1} + ...
+        den = _berkowitz(m)
+        key = tuple(c.rep for c in den)
         if key in buckets:
             buckets[key][1] += 1
         else:
-            buckets[key] = [cp, 1]
+            buckets[key] = [den, 1]
     totals = [spec.zero() for _ in range(d_max + 1)]
-    for cp, count in buckets.values():
-        # det(1 - t g) = sum_k c_{n-k} t^k for char poly x^n + c_1 x^{n-1} + ...
-        den = [cp.terms.get((n - k,), spec.zero()) for k in range(n + 1)]
+    for den, count in buckets.values():
         inv = [spec.one()]
         for m_ in range(1, d_max + 1):
             acc = spec.zero()

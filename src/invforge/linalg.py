@@ -543,8 +543,9 @@ def joint_eigenspaces(mats):
                 # {w in span(piece) : (m - lam) w = 0} via coefficient kernel
                 ker = kernel((m - Matrix.scalar(spec, n, lam)) * bt)
                 if ker.dim:
-                    refined.append(
-                        Subspace(spec, n, combine_rows(spec, ker.basis, piece)).basis)
+                    # rref kernel rows times rref rows are rref already
+                    # (the argument is at invariants._kernel_cut)
+                    refined.append(combine_rows(spec, ker.basis, piece))
         pieces = refined
         if not pieces:
             break

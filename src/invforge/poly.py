@@ -11,7 +11,7 @@ import operator
 from fractions import Fraction
 
 from .errors import EntryParseError, FieldError
-from .fields import FieldElement, _Tokens, _parse_atom, _parse_expr
+from .fields import FieldElement, _Tokens, _join_terms, _parse_atom, _parse_expr
 
 
 class Polynomial:
@@ -230,32 +230,17 @@ class Polynomial:
     # -- rendering ------------------------------------------------------------
 
     def render(self, var_names=None):
-        if not self.terms:
-            return "0"
         names = var_names or default_var_names(self.nvars)
-        parts = []
+        terms = []
         for e, c in self.sorted_terms():
-            factors = []
-            for i, a in enumerate(e):
-                if a == 1:
-                    factors.append(names[i])
-                elif a > 1:
-                    factors.append(f"{names[i]}^{a}")
+            monomial = "*".join(names[i] if a == 1 else f"{names[i]}^{a}"
+                                for i, a in enumerate(e) if a)
             cstr = c.render()
-            multi_term = ("+" in cstr) or (" - " in cstr)
-            negative = cstr.startswith("-") and not multi_term
-            coeff = f"({cstr})" if multi_term else (cstr[1:] if negative else cstr)
-            if not factors:
-                body = coeff
-            elif coeff == "1":
-                body = "*".join(factors)
+            if "+" in cstr or " - " in cstr:  # several terms: parenthesized, positive
+                terms.append((monomial, f"({cstr})", False))
             else:
-                body = coeff + "*" + "*".join(factors)
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f" - {body}" if negative else f" + {body}")
-        return "".join(parts)
+                terms.append((monomial, cstr.lstrip("-"), cstr.startswith("-")))
+        return _join_terms(terms)
 
     def __repr__(self):
         return f"<poly {self.render()}>"

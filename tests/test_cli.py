@@ -343,6 +343,25 @@ def test_parabolic_without_a_first_coordinate_refused(capsys):
     assert err == "error: the hyperplane x1 = 0 needs n >= 1\n"
 
 
+def test_claim51_without_variables_refused(capsys):
+    # n = 0 made the bound q^(n-1) * deg f a float ("bound": 0.0, exit 0)
+    code, out, err = run_cli(capsys, "claim51", "--poly", "1", "--q", "3",
+                             "--n", "0", "--machine")
+    assert code == 1 and out == ""
+    assert err == "error: the bound q^(n-1) * deg f needs n >= 1\n"
+
+
+def test_group_file_with_negative_dim_refused(tmp_path):
+    # dim = -1 passed the entry count (n * n = 1), built 0x0 generators and
+    # ended in an IndexError traceback
+    path = tmp_path / "bad.group"
+    path.write_text("field = rational\ndim = -1\ngenerator = 5\n")
+    proc = subprocess.run([sys.executable, "-m", "invforge.cli", "info",
+                           "--group", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("lines", [
     ["gamma = cyclic(2)", "generator = 1", "image = aut 99"],
     ["gamma = cyclic(2)", "generator = 7", "image = perm 0,3,2,1"],

@@ -175,6 +175,26 @@ def test_character_conjugation_matches_inverse(quaternion, mu3):
             assert chi[i].conjugate() == chi[g.inverse(i)]
 
 
+def _conjugation_pairing(g, chi, psi):
+    """<chi, psi> with conj(psi(x)) taken by the cyclotomic conjugation."""
+    total = g.spec.zero()
+    for i in range(g.order):
+        total = total + chi[i] * psi[i].conjugate()
+    return total / g.spec.from_int(g.order)
+
+
+@pytest.mark.parametrize("name", ["e8.group", "q8.group", "an-split-5.group"])
+def test_character_pairing_matches_conjugation_reference(name):
+    # the pairing reads conj(psi(x)) as psi(x^{-1}); on the characters the
+    # library pairs, chi and chi o phi for each outer class phi, that is
+    # the complex conjugate
+    g = corpus.load_corpus_group(name)
+    chi = natural_character(g)
+    for psi in [chi] + [tuple(chi[phi(i)] for i in range(g.order))
+                        for phi in outer_classes(g)]:
+        assert character_inner_product(g, chi, psi) == _conjugation_pairing(g, chi, psi)
+
+
 def test_irreducible_iff_unit_inner_product(icosahedral, quaternion, mu3):
     for g in (icosahedral, quaternion, mu3):
         expected = natural_character_self_product(g).as_rational() == 1

@@ -64,6 +64,23 @@ def test_monomial_fast_path_matches_dense_kernel(icosahedral):
                 for v in dense), (g.name, d)
 
 
+def test_hilbert_dims_m7_eliminates_only_in_kernels(monkeypatch):
+    # a kernel cut returns the rref kernel rows times its rref input rows,
+    # which are rref already: 12 kernel eliminations and 10 rref kernel
+    # bases, and no third elimination of each of the 10 cuts
+    g = corpus.load_corpus_group("m7.group")
+    calls = []
+    original = Matrix.rref
+
+    def counted(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    assert hilbert_dims(g, 12).dims == (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
+    assert len(calls) == 22
+
+
 def test_invariant_space_maps_only_the_running_support(icosahedral, monkeypatch):
     # orbit transport maps all d + 1 monomials under e8's diagonal
     # generator; the dense generator maps only the 3, 5 or 7 that survive,

@@ -9,8 +9,8 @@ from invforge.errors import LinalgError
 from invforge.fields import FieldSpec, parse_field_spec
 from invforge.groups import automorphism_group
 from invforge.linalg import (EchelonBasis, Matrix, Subspace, char_poly,
-                             commutant_basis, eigenspace, eval_poly_at_matrix,
-                             intertwiner_space, kernel,
+                             combine_rows, commutant_basis, eigenspace,
+                             eval_poly_at_matrix, intertwiner_space, kernel,
                              simultaneous_eigenvectors, spin_submodule)
 from invforge.poly import Polynomial, parse_polynomial
 
@@ -322,6 +322,28 @@ def test_rref_matches_field_element_gauss_jordan(text):
                 == [[str(c.rep) for c in r] for r in want])
 
 
+@pytest.mark.parametrize("text", FIELDS)
+def test_kernel_rows_times_rref_rows_are_rref(text):
+    # for C the rref kernel basis of a map and R an rref basis, the rows of
+    # C * R are rref already: kernel cuts and joint eigenspaces return them
+    # without a second elimination
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    cut = 0
+    for nrows, ncols, nmap in [(3, 5, 2), (4, 6, 3), (5, 5, 2), (6, 8, 4), (2, 7, 1)] * 4:
+        rows = Subspace(spec, ncols, _random_matrix(spec, rng, nrows, ncols).entries).basis
+        if not rows:
+            continue
+        m = _random_matrix(spec, rng, nmap, len(rows))
+        out = combine_rows(spec, kernel(m).basis, rows)
+        want = Subspace(spec, ncols, out).basis
+        assert out == [list(r) for r in want]
+        assert ([[str(c.rep) for c in r] for r in out]
+                == [[str(c.rep) for c in r] for r in want])
+        cut += 0 < len(out) < len(rows)
+    assert cut > 0
+
+
 def _leibniz_det(rows, zero, one):
     """Reference determinant: the sum over all permutations."""
     total = zero
@@ -434,6 +456,60 @@ def test_polynomial_products_match_field_element_reference(text):
              else ["x1 + 1", "x1*x2"])
     images = [parse_polynomial(t, 2, spec) for t in texts]
     _same_terms(f.compose(images), _ref_compose(f, images, 2))
+
+
+def _reference_render(poly, var_names=None):
+    """Polynomial.render as it was before it joined terms with
+    fields._join_terms, kept as the reference."""
+    if not poly.terms:
+        return "0"
+    names = var_names or tuple(f"x{i + 1}" for i in range(poly.nvars))
+    parts = []
+    for e, c in poly.sorted_terms():
+        factors = []
+        for i, a in enumerate(e):
+            if a == 1:
+                factors.append(names[i])
+            elif a > 1:
+                factors.append(f"{names[i]}^{a}")
+        cstr = c.render()
+        multi_term = ("+" in cstr) or (" - " in cstr)
+        negative = cstr.startswith("-") and not multi_term
+        coeff = f"({cstr})" if multi_term else (cstr[1:] if negative else cstr)
+        if not factors:
+            body = coeff
+        elif coeff == "1":
+            body = "*".join(factors)
+        else:
+            body = coeff + "*" + "*".join(factors)
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f" - {body}" if negative else f" + {body}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_polynomial_render_matches_reference(text):
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    one, two = spec.one(), spec.from_int(2)
+    coeffs = [one, -one, spec.from_int(3), -two, -one / (two + one)]
+    if spec.degree > 1:
+        z = spec.gen()
+        coeffs += [z, -z, z + one, -(z * z) + two, -(z * z * z), -(z + one) / (two + one)]
+    polys = [Polynomial.zero(spec, 3)]
+    polys += [Polynomial.constant(spec, 3, 0) + Polynomial.monomial(spec, 3, (0, 0, 0), c)
+              for c in coeffs]
+    polys += [Polynomial(spec, 3, {(k % 3, k // 3, 1): c for k, c in enumerate(coeffs)})]
+    polys += [_random_poly(spec, rng, 3, n, 3) for n in (1, 2, 4, 7) for _ in range(3)]
+    for p in polys:
+        for names in (None, ("y1", "y2", "y3"), ("a", "bb", "c")):
+            assert p.render(names) == _reference_render(p, names)
+    x = Polynomial.variable(spec, 1, 0)
+    for c in coeffs:
+        f = x * x - Polynomial.constant(spec, 1, 1).scale(c)
+        assert f.render(("x",)) == _reference_render(f, ("x",))
 
 
 def _ref_matmul(a, b):

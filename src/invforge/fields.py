@@ -700,6 +700,18 @@ class NumberField(_ExtensionField):
                 for t, d in reps], den
 
     def _integral_inverse(self, a):
+        if self.degree == 2:
+            # z'^2 = t0 + t1 z', so a * (a0 + t1 a1 - a1 z') is the norm
+            # N = a0^2 + t1 a0 a1 - t0 a1^2, nonzero for a != 0
+            (t0, t1), = self._int_table
+            a0, a1 = a
+            A0, A1, N = a0 + t1 * a1, -a1, a0 * a0 + t1 * a0 * a1 - t0 * a1 * a1
+            if not N:
+                raise FieldError("division by zero")
+            if N < 0:
+                A0, A1, N = -A0, -A1, -N
+            g = math.gcd(A0, A1, N)
+            return (A0 // g, A1 // g), N // g
         # extended Euclid against the integral minimal polynomial of z'
         fr = super()._inv(a, [-c for c in self._int_table[0]] + [1])
         D = math.lcm(*(f.denominator for f in fr))

@@ -11,6 +11,7 @@ equal iff their rref bases agree.
 from __future__ import annotations
 
 import bisect
+import math
 import operator
 
 from .errors import FieldError, LinalgError
@@ -215,6 +216,15 @@ class Subspace:
         else:
             self.basis = ()
 
+    @classmethod
+    def _of_rref(cls, spec, ambient, rows):
+        """The Subspace whose basis is rows, taken as given: rows must be an
+        rref basis already (as `EchelonBasis.rows` are), which `__init__`
+        would eliminate a second time only to get them back."""
+        self = cls.__new__(cls)
+        self.spec, self.ambient, self.basis = spec, ambient, tuple(map(tuple, rows))
+        return self
+
     @property
     def dim(self):
         return len(self.basis)
@@ -237,19 +247,31 @@ class EchelonBasis:
     """Incrementally built basis in fully reduced row echelon form.
 
     Gauss-Jordan elimination on integer rows (the FieldSpec row
-    primitives), fraction-free.  Stored row k is ints[k] / dens[k]: its
-    pivot entry is the positive integer dens[k], it is zero at every other
-    pivot, and rows are kept in pivot order, so at every step they are the
-    rref basis of their span.  A new row is reduced by D * row - F * pivot
-    row against each stored row and divided by its integer content; the
-    stored rows are then reduced by it the same way.
+    primitives), fraction-free, on the free (non-pivot) columns only.
+    Stored row k is ints[k] / dens[k] on the columns `free`: its pivot
+    entry is the positive integer dens[k] and every other pivot entry is
+    zero, so neither is stored, and rows are kept in pivot order, so at
+    every step they are the rref basis of their span.
+
+    A new row has entries f_k at the pivots p_k that no reduction step
+    changes (every other stored row is zero at p_k), so it is reduced in
+    one pass: L * row - sum_k (L / dens[k]) f_k ints[k] on the free
+    columns, L the lcm of dens[k] over the nonzero f_k, then divided by
+    its integer content.  Reducing against one stored row at a time and
+    dividing by the content after each step gives a positive multiple of
+    the same vector, and content removal leaves one representative, so
+    the stored integers do not depend on how the sum is grouped.  The
+    stored rows are then reduced by the new one, D * row - F * new row,
+    with their implicit pivot entry counted in the content, and the new
+    pivot column leaves `free`.
     """
 
-    __slots__ = ("spec", "ints", "dens", "pivots")
+    __slots__ = ("spec", "ints", "dens", "pivots", "free", "_zero")
 
     def __init__(self, spec):
         self.spec = spec
         self.ints, self.dens, self.pivots = [], [], []
+        self.free = None  # the column list, once the first row fixes the width
 
     def __len__(self):
         return len(self.ints)
@@ -257,43 +279,75 @@ class EchelonBasis:
     @property
     def rows(self):
         """The basis rows as FieldElement lists (pivot entry 1)."""
-        spec = self.spec
-        return [[FieldElement(spec, x) for x in spec._reps_of_int_row(row, d)]
-                for row, d in zip(self.ints, self.dens)]
+        return [self._field_row(k) for k in range(len(self.ints))]
 
     def insert(self, vec):
         """Add vec to the span; the new normalized row, or None if already in it."""
+        k = self._insert(self.spec._int_row([c.rep for c in vec])[0])
+        return None if k is None else self._field_row(k)
+
+    def _field_row(self, k):
+        """Stored row k on every column, as FieldElements."""
         spec = self.spec
-        k = self._insert(spec._int_row([c.rep for c in vec])[0])
-        if k is None:
-            return None
-        return [FieldElement(spec, x)
-                for x in spec._reps_of_int_row(self.ints[k], self.dens[k])]
+        out = [spec.zero()] * (len(self.free) + len(self.pivots))
+        out[self.pivots[k]] = spec.one()
+        for j, x in zip(self.free, spec._reps_of_int_row(self.ints[k], self.dens[k])):
+            out[j] = FieldElement(spec, x)
+        return out
+
+    def _times(self, m, x):
+        """m * x for a positive integer m and an integer-row entry x (over
+        F_q, where _row_combine takes D = 1, every dens is 1 and so is m)."""
+        zero = self._zero
+        return self.spec._row_combine(m, [x], zero, [zero])[0]
 
     def _insert(self, row):
         """Fold an integer row into the basis; its index, or None if in the span."""
-        spec = self.spec
+        spec, free = self.spec, self.free
+        if free is None:
+            free = self.free = list(range(len(row)))
+            self._zero = spec._int_row([spec.zero().rep])[0][0]
+        elif len(row) != len(free) + len(self.pivots):
+            raise LinalgError(f"row of length {len(row)} in a basis of width "
+                              f"{len(free) + len(self.pivots)}")
         is_zero, combine, primitive = (spec._int_is_zero, spec._row_combine,
                                        spec._row_primitive)
-        for lead, pivot, d in zip(self.pivots, self.ints, self.dens):
-            f = row[lead]
-            if not is_zero(f):
-                row = primitive(combine(d, row, f, pivot))[0]
-        lead = next((i for i, x in enumerate(row) if not is_zero(x)), None)
-        if lead is None:
+        terms = [(row[lead], d, ints) for lead, ints, d
+                 in zip(self.pivots, self.ints, self.dens) if not is_zero(row[lead])]
+        acc = [row[j] for j in free]
+        if terms:
+            # L * row - sum_k (L / dens[k]) f_k ints[k]: D = L on the first step only
+            L = math.lcm(*(d for _, d, _ in terms))
+            D = L
+            for f, d, ints in terms:
+                if d != L:
+                    f = self._times(L // d, f)
+                acc, D = combine(D, acc, f, ints), 1
+            acc = primitive(acc)[0]
+        j = next((i for i, x in enumerate(acc) if not is_zero(x)), None)
+        if j is None:
             return None
-        A, D = spec._integral_inverse(row[lead])
-        row, g = primitive(spec._row_scale(A, row))
+        A, D = spec._integral_inverse(acc[j])
+        acc, g = primitive(spec._row_scale(A, acc))
         D //= g
-        for k, other in enumerate(self.ints):
-            f = other[lead]
+        ints, dens = self.ints, self.dens
+        for k, other in enumerate(ints):
+            f = other[j]
             if not is_zero(f):
-                self.ints[k], g = primitive(combine(D, other, f, row))
-                self.dens[k] = D * self.dens[k] // g
+                # the implicit pivot entry D * dens[k] (acc[j] is the entry
+                # D) counts in the content
+                other = combine(D, other, f, acc)
+                other.append(self._times(dens[k], acc[j]))
+                other, g = primitive(other)
+                other.pop()
+                ints[k], dens[k] = other, D * dens[k] // g
+            del ints[k][j]
+        del acc[j]
+        lead = free.pop(j)
         at = bisect.bisect(self.pivots, lead)
         self.pivots.insert(at, lead)
-        self.ints.insert(at, row)
-        self.dens.insert(at, D)
+        ints.insert(at, acc)
+        dens.insert(at, D)
         return at
 
 
@@ -515,7 +569,7 @@ def spin_submodule(mats, v) -> Subspace:
             img = m.apply(w)
             if span.insert(img) is not None:
                 queue.append(img)
-    return Subspace(spec, len(v), span.rows)
+    return Subspace._of_rref(spec, len(v), span.rows)
 
 
 def joint_eigenspaces(mats):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from invforge.errors import EntryParseError, FieldError
-from invforge.fields import (FieldSpec, cyclotomic_coeffs, cyclotomic_polynomial,
-                             is_irreducible_coeffs, parse_element,
-                             parse_field_spec)
+from invforge.fields import (FieldElement, FieldSpec, cyclotomic_coeffs,
+                             cyclotomic_polynomial, is_irreducible_coeffs,
+                             parse_element, parse_field_spec)
 from invforge.poly import Polynomial, parse_polynomial
 
 
@@ -420,3 +420,68 @@ def test_conjugation_map_matches_zbar_powers(n):
     for _ in range(100):
         a = spec.random_element(rng) / spec.from_int(rng.randint(1, 6))
         assert a.conjugate() == _conjugate_by_zbar_powers(a)
+
+
+QUADRATIC_FIELDS = ["number_field(z^2 + z + 2)", "number_field(z^2 - 1/2)",
+                    "number_field(z^2 + 1/2*z + 1/3)", "cyclotomic(3)",
+                    "cyclotomic(4)", "number_field(z^2 + 7/3*z - 11/5)"]
+
+
+def _euclid_integral_inverse(spec, a):
+    """(A, D) with a * A = D in the basis z' = s*z: the inverse of the int
+    tuple a from extended Euclid against z'^2 - t1 z' - t0 on Fraction
+    polynomials (lowest degree first), over its least positive denominator."""
+    (t0, t1), = spec._int_table
+
+    def divmod_(num, den):
+        num, q = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+        while len(num) >= len(den) and any(num):
+            c = num[-1] / den[-1]
+            shift = len(num) - len(den)
+            q[shift] = c
+            for i, x in enumerate(den):
+                num[shift + i] -= c * x
+            while num and not num[-1]:
+                num.pop()
+        return q, num
+
+    def sub_mul(s0, q, s1):  # s0 - q * s1
+        out = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
+        for i, x in enumerate(s0):
+            out[i] += x
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                out[i + j] -= x * y
+        return out
+
+    r0 = [Fraction(-t0), Fraction(-t1), Fraction(1)]
+    r1 = [Fraction(x) for x in a]
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = divmod_(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, sub_mul(s0, q, s1)
+    inverse = [c / r1[0] for c in s1] + [Fraction(0)] * 2
+    D = math.lcm(*(c.denominator for c in inverse[:2]))
+    return tuple(int(c * D) for c in inverse[:2]), D
+
+
+@pytest.mark.parametrize("text", QUADRATIC_FIELDS)
+def test_quadratic_integral_inverse_matches_euclid(text):
+    # the closed form (a0 + t1 a1, -a1) / N(a) gives the Euclid pair,
+    # reduced to the least positive denominator
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    for height in (1, 3, 50, 10 ** 15) * 100:
+        a = (rng.randint(-height, height), rng.randint(-height, height))
+        if not any(a):
+            continue
+        A, D = spec._integral_inverse(a)
+        assert (A, D) == _euclid_integral_inverse(spec, a)
+        assert D > 0 and math.gcd(D, *A) == 1
+        assert spec._row_scale(A, [a]) == [(D, 0)]
+        x = FieldElement(spec, (a, 1))
+        assert x * x.inverse() == spec.one()
+    with pytest.raises(FieldError):
+        spec._integral_inverse((0, 0))

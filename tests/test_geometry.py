@@ -147,6 +147,21 @@ def test_perm_module_a4():
         assert perm_module_irreducible(a4, p) is True
 
 
+def test_perm_module_spins_without_rref(monkeypatch):
+    # spin_submodule's basis is its EchelonBasis rows, not a second rref
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append(self.rows)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    a4 = corpus.load_corpus_group("a4perm.group")
+    assert [perm_module_irreducible(a4, p) for p in (2, 3, 5)] == [False, True, True]
+    assert calls == []
+
+
 def test_perm_module_cyclic_against_polynomial_criterion():
     # Z/n module irreducibility == irreducibility of (x^n-1)/(x-1) over F_p
     for n in range(2, 8):

@@ -81,6 +81,23 @@ def test_hilbert_dims_m7_eliminates_only_in_kernels(monkeypatch):
     assert len(calls) == 22
 
 
+def test_hilbert_dims_m7_combines_on_the_free_columns_only(monkeypatch):
+    # EchelonBasis stores its rows without their pivot columns, so each
+    # elimination step touches n - rank entries (412,877 on all n columns)
+    g = corpus.load_corpus_group("m7.group")
+    entries = [0]
+    kind = type(g.spec)
+    original = kind._row_combine
+
+    def counted(self, D, row, F, piv):
+        entries[0] += len(row)
+        return original(self, D, row, F, piv)
+
+    monkeypatch.setattr(kind, "_row_combine", counted)
+    assert hilbert_dims(g, 12).dims == (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
+    assert entries[0] < 150_000
+
+
 def test_invariant_space_maps_only_the_running_support(icosahedral, monkeypatch):
     # orbit transport maps all d + 1 monomials under e8's diagonal
     # generator; the dense generator maps only the 3, 5 or 7 that survive,

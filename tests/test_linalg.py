@@ -323,6 +323,96 @@ def test_rref_matches_field_element_gauss_jordan(text):
 
 
 @pytest.mark.parametrize("text", FIELDS)
+def test_echelon_insertion_matches_gauss_jordan(text):
+    # EchelonBasis stores its rows on the free columns only: after every
+    # insert, the returned row, the basis rows, the pivots and the
+    # representatives are those of the reference rref of the rows so far.
+    # Rows are zero, repeated, in the span of rank < width fixed rows, or
+    # such a row with its entries at every current pivot cleared.
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    for width in (1, 2, 3, 5, 8, 13, 24) * 2:
+        rank = rng.randrange(width)
+        gens = [[spec.random_element(rng, 5) if rng.random() < 0.7 else spec.zero()
+                 for _ in range(width)] for _ in range(rank)]
+        span, inserted, want, want_pivots = EchelonBasis(spec), [], [], []
+        for _ in range(rank + 6):
+            kind = rng.random()
+            if kind < 0.15:
+                vec = [spec.zero()] * width
+            elif kind < 0.3 and inserted:
+                vec = list(rng.choice(inserted))
+            else:
+                vec = [spec.zero()] * width
+                for g in gens:
+                    c = spec.random_element(rng, 3)
+                    vec = [a + c * b for a, b in zip(vec, g)]
+                if kind < 0.55:
+                    vec = _reduce_against(vec, want)
+                    assert all(vec[p].is_zero() for p in want_pivots)
+            inserted.append(vec)
+            ref, pivots = _gauss_jordan(Matrix(spec, want + [vec]))
+            row = span.insert(vec)
+            if len(pivots) == len(want_pivots):
+                assert row is None
+            else:
+                new = next(r for r, p in zip(ref, pivots) if p not in want_pivots)
+                assert row == new
+                assert [str(c.rep) for c in row] == [str(c.rep) for c in new]
+            want, want_pivots = ref[:len(pivots)], pivots
+            assert span.pivots == want_pivots and len(span) == len(want)
+            assert span.rows == want
+            assert ([[str(c.rep) for c in r] for r in span.rows]
+                    == [[str(c.rep) for c in r] for r in want])
+        assert len(want) <= rank < width
+
+
+def test_echelon_basis_refuses_a_row_of_another_width():
+    # a shorter row used to be zipped against the stored rows, silently
+    # dropping their last columns from the basis
+    span = EchelonBasis(Q)
+    first = [Q.from_int(1), Q.from_int(2), Q.from_int(3)]
+    assert span.insert(first) == first
+    for vec in ([Q.from_int(2), Q.from_int(5)], first + [Q.one()]):
+        with pytest.raises(LinalgError):
+            span.insert(vec)
+    assert span.rows == [first] and span.pivots == [0]
+    zeros = EchelonBasis(Q)
+    assert zeros.insert([Q.zero()] * 3) is None
+    with pytest.raises(LinalgError):
+        zeros.insert([Q.one()] * 2)
+
+
+@pytest.mark.parametrize("text", ["finite(2)", "finite(3)", "finite(5)",
+                                  "finite(7)", "rational"])
+def test_spin_submodule_basis_matches_subspace(text):
+    # spin_submodule hands its EchelonBasis rows to Subspace without a
+    # second elimination: the basis is the rref basis of the spun vectors
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+    for n in (1, 2, 3, 4, 6) * 4:
+        mats = [Matrix(spec, [[spec.random_element(rng, 2) if rng.random() < 0.5
+                               else spec.zero() for _ in range(n)]
+                              for _ in range(n)])
+                for _ in range(rng.randint(1, 2))]
+        v = [spec.random_element(rng, 2) for _ in range(n)]
+        if all(c.is_zero() for c in v):
+            v[rng.randrange(n)] = spec.one()
+        vectors = [tuple(v)]
+        while True:
+            grown = Subspace(spec, n, vectors + [m.apply(w) for m in mats
+                                                 for w in vectors])
+            if grown.dim == Subspace(spec, n, vectors).dim:
+                break
+            vectors = list(grown.basis)
+        got = spin_submodule(mats, v)
+        want = Subspace(spec, n, vectors)
+        assert got == want and hash(got) == hash(want)
+        assert ([[str(c.rep) for c in r] for r in got.basis]
+                == [[str(c.rep) for c in r] for r in want.basis])
+
+
+@pytest.mark.parametrize("text", FIELDS)
 def test_kernel_rows_times_rref_rows_are_rref(text):
     # for C the rref kernel basis of a map and R an rref basis, the rows of
     # C * R are rref already: kernel cuts and joint eigenspaces return them

@@ -11,12 +11,10 @@ from __future__ import annotations
 import itertools
 import os
 
-from .errors import BoundExceededError, InvForgeError
+from .errors import InvForgeError, check_enumeration_bound
 from .fields import FieldSpec
 from .groups import automorphism_group, load_group_file
 from .tables import TableGroup, is_automorphism
-
-H1_ENUMERATION_BOUND = 10 ** 6
 
 
 class FiniteAction:
@@ -102,8 +100,7 @@ def h1_classes(act: FiniteAction) -> CocycleClassSet:
     """
     gamma, module = act.gamma, act.module
     gens = gamma.generating_set()
-    if module.n ** max(1, len(gens)) > H1_ENUMERATION_BOUND:
-        raise BoundExceededError("cocycle enumeration bound exceeded")
+    check_enumeration_bound(module.n ** max(1, len(gens)), "cocycle")
     cocycles = []
     for assignment in itertools.product(range(module.n), repeat=len(gens)):
         c = _propagate(act, gens, assignment)
@@ -155,6 +152,7 @@ def hom_count(gamma: TableGroup, module: TableGroup):
     trivial = FiniteAction(gamma, module,
                            [tuple(range(module.n))] * gamma.n)
     gens = gamma.generating_set()
+    check_enumeration_bound(module.n ** max(1, len(gens)), "homomorphism")
     count = 0
     for assignment in itertools.product(range(module.n), repeat=len(gens)):
         c = _propagate(trivial, gens, assignment)

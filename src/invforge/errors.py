@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the enumeration bound."""
+
+ENUMERATION_BOUND = 10 ** 6
 
 
 class InvForgeError(Exception):
@@ -29,6 +31,14 @@ class ClosureCapError(InvForgeError):
 
 class BoundExceededError(InvForgeError):
     """A configured enumeration/size bound was exceeded."""
+
+
+def check_enumeration_bound(size, what):
+    """Refuse an exhaustive enumeration of `size` items (`what` names them)
+    before it starts, when size exceeds ENUMERATION_BOUND."""
+    if size > ENUMERATION_BOUND:
+        raise BoundExceededError(
+            f"{what} enumeration bound {ENUMERATION_BOUND} exceeded")
 
 
 class CertificateError(InvForgeError):

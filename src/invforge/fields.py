@@ -16,7 +16,8 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CertificateError, EntryParseError, FieldError
+from .errors import (CertificateError, EntryParseError, FieldError,
+                     check_enumeration_bound)
 
 _ZERO = Fraction(0)  # shared: Fractions are immutable
 
@@ -26,19 +27,16 @@ NUMBER_FIELD = "number_field"
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q or F_p (coefficient lists, c[0] = const)
+# univariate polynomials over Z or F_p (coefficient lists, c[0] = const)
 #
-# One copy of each helper serves both coefficient fields: `red` puts a
-# coefficient in normal form and `inv` inverts a nonzero one.  Over Q they
-# are `_exact` and `_q_inv`; over F_p, the `_red` and `_cinv` of FiniteField.
+# One copy of each helper serves both coefficient rings: `red` puts a
+# coefficient in normal form and `inv` inverts the leading coefficient of a
+# divisor.  Over Z every divisor is monic and both are `_exact`; over F_p
+# they are the `_red` and `_cinv` of FiniteField.
 # ---------------------------------------------------------------------------
 
 def _exact(c):
     return c
-
-
-def _q_inv(c):
-    return 1 / Fraction(c)
 
 
 def _trim(coeffs):
@@ -104,36 +102,51 @@ def _poly_powmod(base, e, mod, red, inv):
     return result
 
 
-def _reduction_rows(tail, red):
-    """Images of z^k for k = deg .. 2*deg-2 modulo a monic modulus of degree
-    deg = len(tail) with z^deg = sum tail[i] z^i, for `_reduced_product`."""
-    cur = list(tail)  # z^deg
-    table = [tuple(cur)]
-    for _ in range(len(tail) - 2):
-        # multiply by z and reduce
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        if carry:
-            cur = [red(a + carry * t) for a, t in zip(cur, tail)]
-        table.append(tuple(cur))
-    return table
-
-
-def _reduced_product(a, b, table):
-    """a * b for coefficient sequences of length deg, reduced with a
-    `_reduction_rows` table (coefficients not put in normal form)."""
-    deg = len(a)
-    prod = [0] * (2 * deg - 1)
+def _reduced_product(a, b, tail):
+    """a * b for coefficient sequences of length m = len(tail), reduced from
+    the top down with z^m = sum tail[i] z^i (coefficients not put in normal
+    form)."""
+    m = len(tail)
+    prod = [0] * (2 * m - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    out = prod[:deg]
-    for c, row in zip(prod[deg:], table):
+    taps = [(i, t) for i, t in enumerate(tail) if t]
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
         if c:
-            out = [o + c * r for o, r in zip(out, row)]
-    return out
+            base = k - m
+            for i, t in taps:
+                prod[base + i] += c * t
+    del prod[m:]
+    return prod
+
+
+def _berkowitz(rows, zero, one):
+    """Coefficients [1, c_1, .., c_n] of det(xI - A), highest degree first,
+    for the square matrix A with these rows, over any commutative ring with
+    this zero and one (FieldElements, or ints).
+
+    Berkowitz's division-free recursion, valid in every characteristic.
+    For the leading principal submatrix A = [[M, C], [R, a]], the Schur
+    complement of xI - M gives det(xI - A) = det(xI - M) *
+    (x - a - sum_k R M^k C x^(-k-1)); the product is a polynomial, and its
+    coefficients need only k < dim M.
+    """
+    coeffs = [one]
+    for r in range(len(rows)):
+        M, R = [row[:r] for row in rows[:r]], rows[r][:r]
+        v = [row[r] for row in rows[:r]]  # C, then M^k C
+        col = [one, -rows[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(operator.mul, row, v), zero) for row in M]
+            col.append(-sum(map(operator.mul, R, v), zero))
+        coeffs = [sum((col[i - j] * coeffs[j] for j in range(min(i, r) + 1)), zero)
+                  for i in range(r + 2)]
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -144,10 +157,10 @@ def cyclotomic_coeffs(n):
     poly = [-1] + [0] * (n - 1) + [1]  # z^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_coeffs(d), _exact, _q_inv)
+            poly, rem = _poly_divmod(poly, cyclotomic_coeffs(d), _exact, _exact)
             if rem:
                 raise CertificateError(f"Phi_{d} does not divide z^{n} - 1")
-    return tuple(int(c) for c in poly)
+    return tuple(poly)
 
 
 def is_irreducible_coeffs(coeffs, p):
@@ -249,7 +262,9 @@ class FieldSpec:
     `number_field`, `cyclotomic`.  Equality and hashing are structural.
     Each kind is a subclass (RationalField, FiniteField, NumberField) with
     its own kernel on raw representatives: `_add`, `_sub`, `_neg`, `_mul`,
-    `_is_zero`, `_inv` and the constant constructor `_const`.
+    `_is_zero`, `_inv` and the constant constructor `_const`.  Both
+    extension kinds keep one fact about their modulus, its integral tail
+    `_tail`, which `_reduced_product` and `_scaled_inverse` read.
 
     Each kernel also gives the integer-row primitives behind
     `linalg.EchelonBasis`, `linalg.combine_rows` (so `Matrix.__mul__`) and
@@ -458,7 +473,7 @@ class _ExtensionField(FieldSpec):
     """What F_p[z]/(m) and Q[z]/(m) share: elements are polynomials in z of
     degree < deg m, with coefficients (`_coefficients`) in normal form."""
 
-    __slots__ = ()
+    __slots__ = ("_tail",)
 
     def gen(self):
         """The class of z."""
@@ -473,22 +488,36 @@ class _ExtensionField(FieldSpec):
 
     _int_is_zero = _is_zero
 
-    def _inv(self, a, modulus=None):
-        if not any(a):
-            raise FieldError("division by zero")
-        # extended Euclid against the modulus: find s with s*a = gcd mod modulus
-        red, cinv = self._red, self._cinv
-        r0, r1 = list(modulus or self.modulus), _trim(a)
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1, red, cinv)
-            r0, r1, s0, s1 = r1, r, s1, _poly_sub(s0, _poly_mul(q, s1, red), red)
-            if not r1:
-                raise FieldError(
-                    f"element not invertible (reducible {self._modulus_name}?)")
-        c = cinv(r1[0])
-        s1 += [0] * self.degree
-        return tuple(red(x * c) for x in s1[:self.degree])
+    def _scaled_inverse(self, a):
+        """(A, N) with a * A = N = +-norm(a) for an int tuple a in the basis
+        z^k of `_tail`, by Cayley-Hamilton on the matrix of multiplication by a
+        (Cohen, GTM 138, 4.3): its characteristic polynomial x^m + c_1
+        x^(m-1) + .. + c_m kills a, so a * -(a^(m-1) + .. + c_(m-1)) = c_m.
+        A rational a uses x - a0 instead, and m = 2 the closed form Tr a - a.
+        """
+        m, tail = self.degree, self._tail
+        if not any(a[1:]):
+            return (1,) + (0,) * (m - 1), a[0]
+        if m == 2:
+            # z^2 = t0 + t1 z: N = a0^2 + t1 a0 a1 - t0 a1^2
+            (t0, t1), (a0, a1) = tail, a
+            return (a0 + t1 * a1, -a1), a0 * a0 + t1 * a0 * a1 - t0 * a1 * a1
+        z, cols = (0, 1) + (0,) * (m - 2), [list(a)]  # the columns a * z^k
+        for _ in range(m - 1):
+            cols.append(_reduced_product(cols[-1], z, tail))
+        charpoly = _berkowitz(list(zip(*cols)), 0, 1)
+        acc = list(a)  # Horner: a^(m-1) + c_1 a^(m-2) + .. + c_(m-1)
+        acc[0] += charpoly[1]
+        for c in charpoly[2:m]:
+            acc = _reduced_product(acc, a, tail)
+            acc[0] += c
+        return tuple(-x for x in acc), charpoly[m]
+
+    @staticmethod
+    def _not_invertible(a):
+        """The error for a of norm 0: zero, or a zero divisor of the modulus."""
+        return FieldError("division by zero" if not any(a) else
+                          "element not invertible (reducible modulus?)")
 
     def _render(self, rep):
         return _join_terms((_z_power(k),) + self._render_coeff(c)
@@ -498,15 +527,13 @@ class _ExtensionField(FieldSpec):
 class FiniteField(_ExtensionField):
     """F_p[z]/(modulus), F_p itself for modulus z; coefficients are ints mod p."""
 
-    __slots__ = ("_red_table",)
+    __slots__ = ()
     kind = FINITE
-    _modulus_name = "modulus"
     _from_coefficients = staticmethod(tuple)
 
     def __init__(self, p, modulus):
         super().__init__(p=p, modulus=modulus)
-        self._red_table = _reduction_rows(
-            [self._red(-c) for c in self.modulus[:self.degree]], self._red)
+        self._tail = tuple(self._red(-c) for c in self.modulus[:self.degree])
 
     def describe(self):
         if self.degree == 1:
@@ -522,6 +549,7 @@ class FiniteField(_ExtensionField):
 
     def elements(self):
         """All elements, in deterministic coefficient order."""
+        check_enumeration_bound(self.size(), "field element")
         return [FieldElement(self, r)
                 for r in itertools.product(range(self.p), repeat=self.degree)]
 
@@ -565,7 +593,15 @@ class FiniteField(_ExtensionField):
         p = self.p
         if self.degree == 1:
             return ((a[0] * b[0]) % p,)
-        return tuple(c % p for c in _reduced_product(a, b, self._red_table))
+        return tuple(c % p for c in _reduced_product(a, b, self._tail))
+
+    def _inv(self, a):
+        A, N = self._scaled_inverse(a)
+        p = self.p
+        if not N % p:
+            raise self._not_invertible(a)
+        c = pow(N, p - 2, p)
+        return tuple([x * c % p for x in A])
 
     @staticmethod
     def _render_coeff(c):
@@ -605,11 +641,8 @@ class NumberField(_ExtensionField):
     s^deg * min_poly(z'/s) and products of integer tuples stay integral.
     """
 
-    __slots__ = ("_scale_powers", "_int_table", "_conjugation")
+    __slots__ = ("_scale_powers", "_conjugation")
     kind = NUMBER_FIELD
-    _modulus_name = "min_poly"
-    _red = staticmethod(_exact)
-    _cinv = staticmethod(_q_inv)
     _render_coeff = staticmethod(_signed_fraction)
 
     def __init__(self, modulus, cyclotomic_n=None):
@@ -617,9 +650,8 @@ class NumberField(_ExtensionField):
         deg = self.degree
         s = math.lcm(*(c.denominator for c in self.modulus))
         self._scale_powers = tuple(s ** k for k in range(deg))
-        self._int_table = _reduction_rows(
-            [int(-c * s ** (deg - k)) for k, c in enumerate(self.modulus[:deg])],
-            _exact)
+        self._tail = tuple(int(-c * s ** (deg - k))
+                           for k, c in enumerate(self.modulus[:deg]))
         self._conjugation = None
 
     def describe(self):
@@ -700,45 +732,32 @@ class NumberField(_ExtensionField):
                 for t, d in reps], den
 
     def _integral_inverse(self, a):
-        if self.degree == 2:
-            # z'^2 = t0 + t1 z', so a * (a0 + t1 a1 - a1 z') is the norm
-            # N = a0^2 + t1 a0 a1 - t0 a1^2, nonzero for a != 0
-            (t0, t1), = self._int_table
-            a0, a1 = a
-            A0, A1, N = a0 + t1 * a1, -a1, a0 * a0 + t1 * a0 * a1 - t0 * a1 * a1
-            if not N:
-                raise FieldError("division by zero")
-            if N < 0:
-                A0, A1, N = -A0, -A1, -N
-            g = math.gcd(A0, A1, N)
-            return (A0 // g, A1 // g), N // g
-        # extended Euclid against the integral minimal polynomial of z'
-        fr = super()._inv(a, [-c for c in self._int_table[0]] + [1])
-        D = math.lcm(*(f.denominator for f in fr))
-        return tuple(f.numerator * (D // f.denominator) for f in fr), D
+        A, N = self._scaled_inverse(a)
+        if not N:
+            raise self._not_invertible(a)
+        g = math.gcd(N, *A) if N > 0 else -math.gcd(N, *A)  # so that D > 0
+        return (A, N) if g == 1 else (tuple([x // g for x in A]), N // g)
 
     def _row_scale(self, A, row):
         if self.degree == 2:
             # z'^2 = t0 + t1 z', so A * b = (a0 b0 + t0 a1 b1,
             # a1 b0 + (a0 + t1 a1) b1)
-            (t0, t1), = self._int_table
-            a0, a1 = A
+            (t0, t1), (a0, a1) = self._tail, A
             u, v = t0 * a1, a0 + t1 * a1
             return [(a0 * b0 + u * b1, a1 * b0 + v * b1) for b0, b1 in row]
-        table = self._int_table
-        return [tuple(_reduced_product(A, b, table)) for b in row]
+        tail = self._tail
+        return [tuple(_reduced_product(A, b, tail)) for b in row]
 
     def _row_combine(self, D, row, F, piv):
         if self.degree == 2:
             # z'^2 = t0 + t1 z', so F * b = (f0 b0 + t0 f1 b1,
             # f0 b1 + f1 b0 + t1 f1 b1)
-            (t0, t1), = self._int_table
-            f0, f1 = F
+            (t0, t1), (f0, f1) = self._tail, F
             u, v = t0 * f1, f0 + t1 * f1
             return [(D * a0 - f0 * b0 - u * b1, D * a1 - f1 * b0 - v * b1)
                     for (a0, a1), (b0, b1) in zip(row, piv)]
-        table = self._int_table
-        return [tuple(D * x - y for x, y in zip(a, _reduced_product(F, b, table)))
+        tail = self._tail
+        return [tuple(D * x - y for x, y in zip(a, _reduced_product(F, b, tail)))
                 for a, b in zip(row, piv)]
 
     def _row_primitive(self, row):

@@ -5,8 +5,9 @@ elementary-abelian rank obstruction on projective images."""
 from __future__ import annotations
 
 import itertools
+import math
 
-from .errors import BoundExceededError, InvForgeError, NotInvariantError
+from .errors import InvForgeError, NotInvariantError, check_enumeration_bound
 from .fields import FieldSpec
 from .groups import FiniteMatrixGroup
 from .invariants import apply_matrix
@@ -102,6 +103,7 @@ def check_claim_51(f: Polynomial, n=None):
     if n < 1:
         raise InvForgeError("the bound q^(n-1) * deg f needs n >= 1")
     q = spec.size()
+    check_enumeration_bound(q ** n, "point")
     deg = f.total_degree()
     total = 0
     vanishing = []
@@ -184,6 +186,14 @@ def _is_semi_invariant(h, m):
 
 def all_projective_linear_forms(spec, n):
     """Product of all linear forms with first nonzero coefficient 1."""
+    if n > 0:
+        q = spec.size()
+        # the product of the D = (q^n - 1)/(q - 1) forms may have every
+        # monomial of degree D in n variables; bounding D first keeps the
+        # binomial itself cheap
+        forms = (q ** n - 1) // (q - 1)
+        check_enumeration_bound(forms, "projective point")
+        check_enumeration_bound(math.comb(forms + n - 1, n - 1), "product monomial")
     prod = Polynomial.constant(spec, n, 1)
     for coeffs in _normalized_vectors(spec, n):
         prod = prod * Polynomial.linear(spec, coeffs)
@@ -193,6 +203,8 @@ def all_projective_linear_forms(spec, n):
 def _normalized_vectors(spec, n):
     """The vectors of F_q^n whose first nonzero coordinate is 1, one per
     point of P^(n-1)(F_q), by leading position, then in coefficient order."""
+    q = spec.size()
+    check_enumeration_bound((q ** n - 1) // (q - 1), "projective point")
     zero, one = spec.zero(), spec.one()
     for lead in range(n):
         for tail in itertools.product(spec.elements(), repeat=n - lead - 1):
@@ -220,6 +232,7 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
     if spec.kind != "finite":
         raise InvForgeError("parabolic claim runs over a finite field")
     q = spec.size()
+    check_enumeration_bound(q ** (n - 1), "chart point")
     if h.is_zero():
         raise InvForgeError("zero polynomial")
     if not h.is_homogeneous():
@@ -262,9 +275,6 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
 # ---------------------------------------------------------------------------
 # deleted permutation module
 # ---------------------------------------------------------------------------
-
-PERM_MODULE_BOUND = 10 ** 6
-
 
 def permutation_of_matrix(m: Matrix):
     """The permutation sigma with m e_j = e_sigma(j); error if not a 0/1 matrix."""
@@ -318,9 +328,7 @@ def perm_module_irreducible(group: FiniteMatrixGroup, p):
     generate the same submodule); irreducible iff every spin is everything.
     """
     n = group.n
-    if p ** (n - 1) > PERM_MODULE_BOUND:
-        raise BoundExceededError(
-            f"module enumeration bound exceeded: {p}^{n - 1} > {PERM_MODULE_BOUND}")
+    check_enumeration_bound(p ** (n - 1), "module")
     perms = [permutation_of_matrix(m) for m in group.generators()]
     spec, mats = deleted_permutation_module(perms, n, p)
     return all(spin_submodule(mats, vec).dim == n - 1

@@ -16,7 +16,8 @@ import math
 from .errors import InvForgeError, ModularityError
 from .groups import (FiniteMatrixGroup, pseudo_reflections,
                      reflection_subgroup)
-from .linalg import EchelonBasis, Matrix, _berkowitz, combine_rows, kernel
+from .fields import _berkowitz
+from .linalg import EchelonBasis, Matrix, combine_rows, kernel
 from .poly import Polynomial
 
 
@@ -218,20 +219,21 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
     if group.spec.characteristic() != 0:
         raise ModularityError("Molien series requires characteristic 0")
     spec, n = group.spec, group.n
+    zero, one = spec.zero(), spec.one()
     buckets = {}
     for m in group.elements:
         # det(1 - t g) = sum_k c_k t^k for char poly x^n + c_1 x^{n-1} + ...
-        den = _berkowitz(m)
+        den = _berkowitz(m.entries, zero, one)
         key = tuple(c.rep for c in den)
         if key in buckets:
             buckets[key][1] += 1
         else:
             buckets[key] = [den, 1]
-    totals = [spec.zero() for _ in range(d_max + 1)]
+    totals = [zero] * (d_max + 1)
     for den, count in buckets.values():
-        inv = [spec.one()]
+        inv = [one]
         for m_ in range(1, d_max + 1):
-            acc = spec.zero()
+            acc = zero
             for k in range(1, min(m_, n) + 1):
                 acc = acc + den[k] * inv[m_ - k]
             inv.append(-acc)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 
 from .errors import FieldError, LinalgError
-from .fields import FieldElement, rational_root_candidates
+from .fields import FieldElement, _berkowitz, rational_root_candidates
 from .poly import Polynomial
 
 
@@ -184,7 +183,7 @@ class Matrix:
     def det(self):
         if self.rows != self.cols:
             raise LinalgError("determinant of a non-square matrix")
-        last = _berkowitz(self)[-1]
+        last = _berkowitz(self.entries, self.spec.zero(), self.spec.one())[-1]
         return -last if self.rows % 2 else last
 
     def is_invertible(self):
@@ -380,7 +379,8 @@ def combine_rows(spec, coefficients, rows):
 def _sparse_int_rows(spec, rows):
     """([(nonzero positions, their integer entries)] per row, den): the
     nonzero entries of rows of FieldElements over one denominator."""
-    support = [[j for j, b in enumerate(row) if not b.is_zero()] for row in rows]
+    is_zero = spec._is_zero  # test before converting: most entries are zero
+    support = [[j for j, b in enumerate(row) if not is_zero(b.rep)] for row in rows]
     ints, den = spec._int_row([row[j].rep for row, cols in zip(rows, support)
                                for j in cols])
     out, k = [], 0
@@ -408,34 +408,11 @@ def kernel(m: Matrix) -> Subspace:
 
 def char_poly(m: Matrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - m) as a univariate Polynomial."""
-    n = m.rows
-    return Polynomial(m.spec, 1, {(n - k,): c for k, c in enumerate(_berkowitz(m))})
-
-
-def _berkowitz(m):
-    """Coefficients [1, c_1, .., c_n] of det(xI - m), highest degree first.
-
-    Berkowitz's division-free recursion, valid in every characteristic.
-    For the leading principal submatrix A = [[M, C], [R, a]], the Schur
-    complement of xI - M gives det(xI - A) = det(xI - M) *
-    (x - a - sum_k R M^k C x^(-k-1)); the product is a polynomial, and its
-    coefficients need only k < dim M.
-    """
     if m.rows != m.cols:
         raise LinalgError("characteristic polynomial of a non-square matrix")
-    a, zero, one = m.entries, m.spec.zero(), m.spec.one()
-    coeffs = [one]
-    for r in range(m.rows):
-        M, R = [row[:r] for row in a[:r]], a[r][:r]
-        v = [row[r] for row in a[:r]]  # C, then M^k C
-        col = [one, -a[r][r]]
-        for k in range(r):
-            if k:
-                v = [sum(map(operator.mul, row, v), zero) for row in M]
-            col.append(-sum(map(operator.mul, R, v), zero))
-        coeffs = [sum((col[i - j] * coeffs[j] for j in range(min(i, r) + 1)), zero)
-                  for i in range(r + 2)]
-    return coeffs
+    n, spec = m.rows, m.spec
+    coeffs = _berkowitz(m.entries, spec.zero(), spec.one())
+    return Polynomial(spec, 1, {(n - k,): c for k, c in enumerate(coeffs)})
 
 
 def eval_poly_at_matrix(poly: Polynomial, m: Matrix) -> Matrix:

@@ -5,7 +5,7 @@ import pytest
 from invforge.cohomology import (FiniteAction, h1_classes, hom_count,
                                  load_action_file, parse_action_text,
                                  square_class_forms)
-from invforge.errors import InvForgeError
+from invforge.errors import BoundExceededError, InvForgeError
 from invforge.fields import FieldSpec
 from invforge.tables import TableGroup
 from invforge import corpus
@@ -55,6 +55,18 @@ def test_h1_trivial_action_matches_hom_count():
         for gamma in (TableGroup.cyclic(2), TableGroup.cyclic(3)):
             act = _trivial_action(gamma, module)
             assert h1_classes(act).count == hom_count(gamma, module)
+
+
+def test_cocycle_and_hom_enumerations_are_bounded():
+    # (Z/2)^3 needs three generators, and 101^3 > 10^6 assignments
+    gamma = TableGroup([[i ^ j for j in range(8)] for i in range(8)])
+    assert len(gamma.generating_set()) == 3
+    module = TableGroup.cyclic(101)
+    with pytest.raises(BoundExceededError):
+        h1_classes(_trivial_action(gamma, module))
+    with pytest.raises(BoundExceededError):
+        hom_count(gamma, module)
+    assert hom_count(gamma, TableGroup.cyclic(2)) == 8
 
 
 def test_h1_count_invariant_under_module_shuffle():

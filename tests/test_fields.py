@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from invforge.errors import EntryParseError, FieldError
-from invforge.fields import (FieldElement, FieldSpec, cyclotomic_coeffs,
-                             cyclotomic_polynomial, is_irreducible_coeffs,
-                             parse_element, parse_field_spec)
+from invforge.fields import (FieldElement, FieldSpec, FiniteField, NumberField,
+                             cyclotomic_coeffs, cyclotomic_polynomial,
+                             is_irreducible_coeffs, parse_element,
+                             parse_field_spec)
 from invforge.poly import Polynomial, parse_polynomial
 
 
@@ -429,9 +430,10 @@ QUADRATIC_FIELDS = ["number_field(z^2 + z + 2)", "number_field(z^2 - 1/2)",
 
 def _euclid_integral_inverse(spec, a):
     """(A, D) with a * A = D in the basis z' = s*z: the inverse of the int
-    tuple a from extended Euclid against z'^2 - t1 z' - t0 on Fraction
+    tuple a from extended Euclid against z'^m - sum_i t_i z'^i on Fraction
     polynomials (lowest degree first), over its least positive denominator."""
-    (t0, t1), = spec._int_table
+    tail = spec._tail
+    m = len(tail)
 
     def divmod_(num, den):
         num, q = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 1)
@@ -454,7 +456,7 @@ def _euclid_integral_inverse(spec, a):
                 out[i + j] -= x * y
         return out
 
-    r0 = [Fraction(-t0), Fraction(-t1), Fraction(1)]
+    r0 = [Fraction(-t) for t in tail] + [Fraction(1)]
     r1 = [Fraction(x) for x in a]
     while r1 and not r1[-1]:
         r1.pop()
@@ -462,9 +464,9 @@ def _euclid_integral_inverse(spec, a):
     while len(r1) > 1:
         q, r = divmod_(r0, r1)
         r0, r1, s0, s1 = r1, r, s1, sub_mul(s0, q, s1)
-    inverse = [c / r1[0] for c in s1] + [Fraction(0)] * 2
-    D = math.lcm(*(c.denominator for c in inverse[:2]))
-    return tuple(int(c * D) for c in inverse[:2]), D
+    inverse = [c / r1[0] for c in s1] + [Fraction(0)] * m
+    D = math.lcm(*(c.denominator for c in inverse[:m]))
+    return tuple(int(c * D) for c in inverse[:m]), D
 
 
 @pytest.mark.parametrize("text", QUADRATIC_FIELDS)
@@ -485,3 +487,65 @@ def test_quadratic_integral_inverse_matches_euclid(text):
         assert x * x.inverse() == spec.one()
     with pytest.raises(FieldError):
         spec._integral_inverse((0, 0))
+
+
+EUCLID_FIELDS = ["cyclotomic(20)", "cyclotomic(5)", "number_field(z^3 - z - 1)",
+                 "number_field(z^3 + 1/2*z + 1/3)"]
+
+
+@pytest.mark.parametrize("text", EUCLID_FIELDS)
+def test_integral_inverse_matches_euclid(text):
+    # Cayley-Hamilton gives the Euclid pair on dense elements, rational
+    # constants and monomials c*z'^k
+    spec = parse_field_spec(text)
+    m = spec.degree
+    rng = random.Random(text)
+    elements = [tuple(rng.randint(-h, h) for _ in range(m))
+                for h in (1, 3, 50, 10 ** 6) for _ in range(40)]
+    elements += [(c,) + (0,) * (m - 1) for c in (1, -1, 2, -7, 10 ** 15)]
+    elements += [tuple(c if i == k else 0 for i in range(m))
+                 for k in range(1, m) for c in (1, -3, 12)]
+    for a in elements:
+        if not any(a):
+            continue
+        A, D = spec._integral_inverse(a)
+        assert (A, D) == _euclid_integral_inverse(spec, a)
+        assert D > 0 and math.gcd(D, *A) == 1
+        assert spec._row_scale(A, [a]) == [(D,) + (0,) * (m - 1)]
+    with pytest.raises(FieldError):
+        spec._integral_inverse((0,) * m)
+
+
+@pytest.mark.parametrize("text", ["finite(2, z^3 + z + 1)", "finite(3, z^2 + 1)",
+                                  "finite(5, z^3 + 3*z + 3)"])
+def test_finite_field_inverse_is_power(text):
+    # a^(q-1) = 1 on F_q^*, so a^(-1) = a^(q-2)
+    spec = parse_field_spec(text)
+    q = spec.size()
+    assert q in (8, 9, 125)
+    for a in spec.elements():
+        if a.is_zero():
+            continue
+        assert a.inverse() == a ** (q - 2)
+        assert a * a.inverse() == spec.one()
+
+
+def test_zero_divisors_raise():
+    # directly constructed (unchecked) reducible moduli: the norm of a zero
+    # divisor is zero, and inverting it refuses instead of returning garbage
+    reducible = [NumberField(modulus=[Fraction(-1), Fraction(0), Fraction(1)]),  # (z-1)(z+1)
+                 NumberField(modulus=[Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]),
+                 FiniteField(p=2, modulus=(1, 0, 1)),        # (z+1)^2 over F_2
+                 FiniteField(p=2, modulus=(1, 1, 1, 1))]     # (z+1)^3 over F_2
+    for spec in reducible:
+        z, one = spec.gen(), spec.one()
+        for divisor in (z - one, z + one):
+            with pytest.raises(FieldError, match="not invertible"):
+                divisor.inverse()
+        with pytest.raises(FieldError, match="division by zero"):
+            spec.zero().inverse()
+    cubic = reducible[1]  # z^3 - z = z(z-1)(z+1)
+    with pytest.raises(FieldError, match="not invertible"):
+        cubic.gen().inverse()
+    with pytest.raises(FieldError, match="not invertible"):
+        (cubic.gen() ** 2 - cubic.one()).inverse()

@@ -1,10 +1,14 @@
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
-from invforge.errors import InvForgeError, NotInvariantError
+from invforge.errors import BoundExceededError, InvForgeError, NotInvariantError
 from invforge.fields import FieldSpec, is_irreducible_coeffs
-from invforge.geometry import (ProjPoint, all_projective_linear_forms,
+from invforge.geometry import (ProjPoint, _normalized_vectors,
+                               all_projective_linear_forms,
                                check_claim_51, check_parabolic_claim,
                                multiplicity_at_point, perm_module_irreducible,
                                projective_fixed_points, rank_obstruction)
@@ -213,3 +217,46 @@ def test_rank_obstruction_rejects_characteristic():
     signs3 = corpus.load_corpus_group("po3diag.group")
     with pytest.raises(InvForgeError):
         rank_obstruction(signs3, 3)
+
+
+BOUNDED_CLI_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from invforge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["claim51", "--poly", "x*y", "--q", "101", "--n", "4"], "point"),
+    # 7^6 chart points are fine; the product of the 137,257 forms is not
+    (["parabolic", "--q", "7", "--n", "7"], "product monomial"),
+])
+def test_exponential_enumerations_refuse_before_starting(argv, what):
+    # a child process bounds time and memory should the refusal not come
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", BOUNDED_CLI_SCRIPT, *argv, "--machine"],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {what} enumeration bound 1000000 exceeded\n"
+
+
+def test_enumeration_bounds_in_library():
+    f101 = FieldSpec.finite_field(101)
+    with pytest.raises(BoundExceededError):
+        check_claim_51(parse_polynomial("x*y", 4, f101, var_names=("x", "y", "u", "v")))
+    with pytest.raises(BoundExceededError):
+        next(_normalized_vectors(f101, 4))  # (101^4 - 1)/100 > 10^6 points
+    assert len(list(_normalized_vectors(f101, 3))) == 101 ** 2 + 101 + 1
+    with pytest.raises(BoundExceededError):
+        all_projective_linear_forms(FieldSpec.finite_field(7), 7)
+    with pytest.raises(BoundExceededError):
+        # refused on its 2^100000 - 1 forms, before any binomial of that size
+        all_projective_linear_forms(F2, 10 ** 5)
+    with pytest.raises(BoundExceededError):
+        FieldSpec.finite_field(1000003).elements()
+    with pytest.raises(BoundExceededError):
+        # a user-given h skips the product; 3^13 chart points remain
+        check_parabolic_claim(parse_polynomial("x1", 14, F3))

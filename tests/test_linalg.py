@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from invforge.errors import LinalgError
-from invforge.fields import FieldSpec, parse_field_spec
+from invforge.fields import FieldSpec, _berkowitz, _reduced_product, parse_field_spec
 from invforge.groups import automorphism_group
 from invforge.linalg import (EchelonBasis, Matrix, Subspace, char_poly,
                              combine_rows, commutant_basis, eigenspace,
@@ -465,6 +465,45 @@ def test_det_and_char_poly_match_leibniz(text):
                         for j, c in enumerate(row)] for i, row in enumerate(m.entries)]
             assert char_poly(m) == _leibniz_det(shifted, zero, one)
     assert singular > 0
+
+
+def test_berkowitz_on_ints_matches_rationals():
+    rng = random.Random(41)
+    for n in range(7):
+        for _ in range(6):
+            rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)] for _ in range(n)]
+            got = _berkowitz(rows, 0, 1)
+            want = _berkowitz(Matrix.from_rows(Q, rows).entries, Q.zero(), Q.one())
+            assert all(type(c) is int for c in got)
+            assert got == [c.as_rational() for c in want]
+
+
+def _long_division_product(a, b, tail):
+    """Reference for `_reduced_product`: the schoolbook product of a and b,
+    then its remainder on long division by the monic z^m - sum_i t_i z^i."""
+    m = len(tail)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    modulus = [-t for t in tail] + [1]
+    while len(prod) > m:
+        c = prod.pop()  # the leading coefficient; modulus is monic
+        shift = len(prod) - m
+        for i, t in enumerate(modulus[:-1]):
+            prod[shift + i] -= c * t
+    return prod
+
+
+@pytest.mark.parametrize("text", [t for t in FIELDS if t != "rational"])
+def test_reduced_product_matches_long_division(text):
+    spec = parse_field_spec(text)
+    tail, m = spec._tail, spec.degree
+    rng = random.Random(text)
+    for height in (1, 10 ** 3, 10 ** 15) * 30:
+        a, b = ([0 if rng.random() < 0.3 else rng.randint(-height, height)
+                 for _ in range(m)] for _ in range(2))
+        assert _reduced_product(a, b, tail) == _long_division_product(a, b, tail)
 
 
 # ---------------------------------------------------------------------------

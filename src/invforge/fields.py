@@ -1,10 +1,12 @@
-"""Exact arithmetic in Q, finite fields F_{p^m} and number fields Q[z]/(m(z)).
+"""Exact arithmetic in finite fields F_{p^m} and number fields Q[z]/(m(z)).
 
-Cyclotomic fields are number fields with the n-th cyclotomic polynomial as
-modulus; they additionally carry the conjugation automorphism z -> z^(n-1).
-Elements are canonical representatives: a reduced Fraction over Q, a
-coefficient tuple over F_q, an integer tuple over a denominator in a number
-field.  Everything here is immutable and hashable, so values can be shared.
+Q is the number field Q[z]/(z).  Cyclotomic fields are number fields with
+the n-th cyclotomic polynomial as modulus; they additionally carry the
+conjugation automorphism z -> z^(n-1).  Elements are canonical
+representatives: a coefficient tuple over F_q, an integer tuple over a
+denominator in a number field (over Q, the 1-tuple of the numerator of a
+reduced fraction).  Everything here is immutable and hashable, so values
+can be shared.
 """
 
 from __future__ import annotations
@@ -219,15 +221,9 @@ def rational_root_candidates(num, den):
                 yield Fraction(sign * r, s)
 
 
-def _render_fraction(fr):
-    if fr.denominator == 1:
-        return str(fr.numerator)
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def _signed_fraction(c):
     """(string of |c|, c < 0) for an int or Fraction coefficient."""
-    return _render_fraction(abs(c)), c < 0
+    return str(abs(c)), c < 0
 
 
 def _z_power(k):
@@ -256,21 +252,23 @@ def _join_terms(terms):
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
-    """One of Q, F_{p^m} = F_p[z]/(modulus), or Q[z]/(min_poly).
+    """One of F_{p^m} = F_p[z]/(modulus) or Q[z]/(min_poly), Q being Q[z]/(z).
 
     Immutable; use the constructors `rationals`, `finite_field`,
     `number_field`, `cyclotomic`.  Equality and hashing are structural.
-    Each kind is a subclass (RationalField, FiniteField, NumberField) with
-    its own kernel on raw representatives: `_add`, `_sub`, `_neg`, `_mul`,
-    `_is_zero`, `_inv` and the constant constructor `_const`.  Both
-    extension kinds keep one fact about their modulus, its integral tail
-    `_tail`, which `_reduced_product` and `_scaled_inverse` read.
+    There are two arithmetic kernels, one per coefficient ring: FiniteField
+    and NumberField (RationalField is the NumberField of modulus z, with its
+    own name and no generator).  Each works on raw representatives: `_add`,
+    `_sub`, `_neg`, `_mul`, `_is_zero`, `_inv` and the constant constructor
+    `_const`.  An element is a polynomial in z of degree < deg modulus, and
+    each kind keeps one fact about its modulus, its integral tail `_tail`,
+    which `_reduced_product` and `_scaled_inverse` read.
 
     Each kernel also gives the integer-row primitives behind
     `linalg.EchelonBasis`, `linalg.combine_rows` (so `Matrix.__mul__`) and
     the `Polynomial` products.  An integer row represents a row of field
     elements up to a positive integer factor, in a per-kind integer
-    representation: `int`s over Q, `int` tuples over a number field, the
+    representation: `int` tuples over a number field (1-tuples over Q), the
     representatives themselves over F_q.  `_int_add` and `_int_is_zero` are
     `_add` and `_is_zero` on integer-row entries.
 
@@ -285,14 +283,14 @@ class FieldSpec:
     - `_reps_of_int_row(row, d)`: the representatives of row / d.
     """
 
-    __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_hash")
+    __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_hash", "_tail")
     kind = None
 
-    def __init__(self, p=None, modulus=None, cyclotomic_n=None):
+    def __init__(self, modulus, p=None, cyclotomic_n=None):
         self.p = p
-        self.modulus = tuple(modulus) if modulus is not None else None
+        self.modulus = tuple(modulus)
         self.cyclotomic_n = cyclotomic_n
-        self.degree = (len(self.modulus) - 1) if self.modulus else 1
+        self.degree = len(self.modulus) - 1
         self._hash = hash((self.kind, p, self.modulus, cyclotomic_n))
 
     # -- constructors ------------------------------------------------------
@@ -385,96 +383,6 @@ class FieldSpec:
 
     from_fraction = from_int
 
-    def _as_rational(self, rep):
-        raise FieldError("element is not a rational constant")
-
-    def _coefficients(self, rep):
-        """What rendering reads: the Fraction over Q, else the z^k coefficients."""
-        return rep
-
-    def conjugate_element(self, elt):
-        """Complex conjugation z -> z^(n-1) on a cyclotomic field."""
-        raise FieldError("conjugation requires a cyclotomic field spec")
-
-
-class RationalField(FieldSpec):
-    """Q; a representative is a reduced Fraction."""
-
-    __slots__ = ()
-    kind = RATIONAL
-
-    def describe(self):
-        return "rational"
-
-    def _const(self, c):
-        return Fraction(c)
-
-    def gen(self):
-        raise FieldError("rational field has no generator z")
-
-    def random_element(self, rng, height=10):
-        den = rng.randint(1, height)
-        return FieldElement(self, Fraction(rng.randint(-height, height), den))
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _is_zero(self, a):
-        return a == 0
-
-    _int_add, _int_is_zero = _add, _is_zero
-
-    def _inv(self, a):
-        if a == 0:
-            raise FieldError("division by zero")
-        return 1 / a
-
-    def _as_rational(self, rep):
-        return rep
-
-    def _render(self, rep):
-        return _render_fraction(rep)
-
-    # -- integer rows: ints ------------------------------------------------
-
-    def _int_row(self, reps):
-        den = math.lcm(*(c.denominator for c in reps))
-        return [c.numerator * (den // c.denominator) for c in reps], den
-
-    def _integral_inverse(self, a):
-        return (1, a) if a > 0 else (-1, -a)
-
-    def _row_scale(self, A, row):
-        return [A * x for x in row]
-
-    def _row_combine(self, D, row, F, piv):
-        return [D * a - F * b for a, b in zip(row, piv)]
-
-    def _row_primitive(self, row):
-        g = math.gcd(*row)
-        if g <= 1:
-            return row, 1
-        return [x // g for x in row], g
-
-    def _reps_of_int_row(self, row, d):
-        return [Fraction(x, d) if x else _ZERO for x in row]
-
-
-class _ExtensionField(FieldSpec):
-    """What F_p[z]/(m) and Q[z]/(m) share: elements are polynomials in z of
-    degree < deg m, with coefficients (`_coefficients`) in normal form."""
-
-    __slots__ = ("_tail",)
-
     def gen(self):
         """The class of z."""
         if self.degree == 1:
@@ -482,6 +390,19 @@ class _ExtensionField(FieldSpec):
             return FieldElement(self, self._const(-self.modulus[0]))
         return FieldElement(self, self._from_coefficients(
             (0, 1) + (0,) * (self.degree - 2)))
+
+    def _as_rational(self, rep):
+        raise FieldError("element is not a rational constant")
+
+    def _coefficients(self, rep):
+        """What rendering reads: the z^k coefficients in normal form."""
+        return rep
+
+    def conjugate_element(self, elt):
+        """Complex conjugation z -> z^(n-1) on a cyclotomic field."""
+        raise FieldError("conjugation requires a cyclotomic field spec")
+
+    # -- shared kernel pieces --------------------------------------------
 
     def _is_zero(self, a):
         return not any(a)
@@ -524,7 +445,7 @@ class _ExtensionField(FieldSpec):
                            for k, c in enumerate(self._coefficients(rep)) if c)
 
 
-class FiniteField(_ExtensionField):
+class FiniteField(FieldSpec):
     """F_p[z]/(modulus), F_p itself for modulus z; coefficients are ints mod p."""
 
     __slots__ = ()
@@ -532,7 +453,7 @@ class FiniteField(_ExtensionField):
     _from_coefficients = staticmethod(tuple)
 
     def __init__(self, p, modulus):
-        super().__init__(p=p, modulus=modulus)
+        super().__init__(modulus, p=p)
         self._tail = tuple(self._red(-c) for c in self.modulus[:self.degree])
 
     def describe(self):
@@ -632,13 +553,15 @@ class FiniteField(_ExtensionField):
         return row
 
 
-class NumberField(_ExtensionField):
+class NumberField(FieldSpec):
     """Q[z]/(min_poly), cyclotomic when cyclotomic_n is set.
 
     A representative (t, d) is sum t[k] z'^k / d: an int tuple t in the basis
     of z' = s*z, d > 0, gcd(t, d) = 1.  s is the least common denominator
     of min_poly, so z' has the monic integral minimal polynomial
     s^deg * min_poly(z'/s) and products of integer tuples stay integral.
+    The integer-row primitives write out the cases of degree 1 (Q among
+    others) and degree 2.
     """
 
     __slots__ = ("_scale_powers", "_conjugation")
@@ -646,7 +569,7 @@ class NumberField(_ExtensionField):
     _render_coeff = staticmethod(_signed_fraction)
 
     def __init__(self, modulus, cyclotomic_n=None):
-        super().__init__(modulus=modulus, cyclotomic_n=cyclotomic_n)
+        super().__init__(modulus, cyclotomic_n=cyclotomic_n)
         deg = self.degree
         s = math.lcm(*(c.denominator for c in self.modulus))
         self._scale_powers = tuple(s ** k for k in range(deg))
@@ -724,11 +647,13 @@ class NumberField(_ExtensionField):
     # -- integer rows: int tuples in the basis z'^k -------------------------
 
     def _int_add(self, a, b):
+        if self.degree == 1:
+            return (a[0] + b[0],)
         return tuple(map(operator.add, a, b))
 
     def _int_row(self, reps):
         den = math.lcm(*(d for _, d in reps))
-        return [t if d == den else tuple(x * (den // d) for x in t)
+        return [t if d == den else tuple([x * (den // d) for x in t])
                 for t, d in reps], den
 
     def _integral_inverse(self, a):
@@ -739,6 +664,9 @@ class NumberField(_ExtensionField):
         return (A, N) if g == 1 else (tuple([x // g for x in A]), N // g)
 
     def _row_scale(self, A, row):
+        if self.degree == 1:
+            a0, = A
+            return [(a0 * b0,) for b0, in row]
         if self.degree == 2:
             # z'^2 = t0 + t1 z', so A * b = (a0 b0 + t0 a1 b1,
             # a1 b0 + (a0 + t1 a1) b1)
@@ -749,6 +677,9 @@ class NumberField(_ExtensionField):
         return [tuple(_reduced_product(A, b, tail)) for b in row]
 
     def _row_combine(self, D, row, F, piv):
+        if self.degree == 1:
+            f0, = F
+            return [(D * a0 - f0 * b0,) for (a0,), (b0,) in zip(row, piv)]
         if self.degree == 2:
             # z'^2 = t0 + t1 z', so F * b = (f0 b0 + t0 f1 b1,
             # f0 b1 + f1 b0 + t1 f1 b1)
@@ -764,6 +695,8 @@ class NumberField(_ExtensionField):
         g = math.gcd(*itertools.chain.from_iterable(row))
         if g <= 1:
             return row, 1
+        if self.degree == 1:
+            return [(x // g,) for x, in row], g
         return [tuple(map(g.__rfloordiv__, t)) for t in row], g
 
     def _reps_of_int_row(self, row, d):
@@ -773,7 +706,7 @@ class NumberField(_ExtensionField):
 def _reduced(t, d):
     """The number-field representative of the int tuple t over d > 0."""
     g = math.gcd(d, *t)
-    return (t, d) if g == 1 else (tuple(x // g for x in t), d // g)
+    return (t, d) if g == 1 else (tuple([x // g for x in t]), d // g)
 
 
 def _check_min_poly_irreducible(mp):
@@ -803,6 +736,27 @@ def _check_min_poly_irreducible(mp):
         if is_irreducible_coeffs(reduced, p):
             return
     warnings.warn("min_poly irreducibility over Q not certified by modular probes")
+
+
+class RationalField(NumberField):
+    """Q as the number field Q[z]/(z): the representative ((n,), d) is the
+    reduced fraction n / d."""
+
+    __slots__ = ()
+    kind = RATIONAL
+
+    def __init__(self):
+        super().__init__((0, 1))
+
+    def describe(self):
+        return "rational"
+
+    def gen(self):
+        raise FieldError("rational field has no generator z")
+
+    def random_element(self, rng, height=10):
+        den = rng.randint(1, height)
+        return FieldElement(self, _reduced((rng.randint(-height, height),), den))
 
 
 _RATIONALS = RationalField()

@@ -61,6 +61,12 @@ def multiplicity_at_point(f: Polynomial, point):
     return f.translate(point).min_degree()
 
 
+def _translate_terms(f):
+    """T = sum over the terms x^e of f of prod (e_i + 1): the terms that
+    expanding one translate f(x + p) gives before like terms are collected."""
+    return sum(math.prod(e + 1 for e in expo) for expo in f.terms)
+
+
 class MultReport:
     """Multiplicity bookkeeping for one polynomial over a finite field."""
 
@@ -104,6 +110,7 @@ def check_claim_51(f: Polynomial, n=None):
         raise InvForgeError("the bound q^(n-1) * deg f needs n >= 1")
     q = spec.size()
     check_enumeration_bound(q ** n, "point")
+    check_enumeration_bound(q ** n * _translate_terms(f), "translate term")
     deg = f.total_degree()
     total = 0
     vanishing = []
@@ -194,6 +201,9 @@ def all_projective_linear_forms(spec, n):
         forms = (q ** n - 1) // (q - 1)
         check_enumeration_bound(forms, "projective point")
         check_enumeration_bound(math.comb(forms + n - 1, n - 1), "product monomial")
+        # the k-th partial product has up to C(k + n - 1, n - 1) terms, each
+        # multiplied by the n terms of a form: n * C(D + n - 1, n) in all
+        check_enumeration_bound(n * math.comb(forms + n - 1, n), "product term")
     prod = Polynomial.constant(spec, n, 1)
     for coeffs in _normalized_vectors(spec, n):
         prod = prod * Polynomial.linear(spec, coeffs)
@@ -247,6 +257,7 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
     one = spec.one()
     dehom = h.compose([Polynomial.constant(spec, n - 1, 1)]
                       + [Polynomial.variable(spec, n - 1, i) for i in range(n - 1)])
+    check_enumeration_bound(q ** (n - 1) * _translate_terms(dehom), "translate term")
     max_mult = 0
     argmax = None
     witnesses = []

@@ -466,14 +466,16 @@ def eigenvalue_candidates(m: Matrix):
             rational_coeffs = False
             break
     if rational_coeffs and coeffs:
-        lead, const = coeffs[max(coeffs)], coeffs.get(0, 0)
+        # x^k * f(x) with f(0) != 0: the nonzero rational roots are f's, so
+        # the trial runs from the lowest nonzero coefficient f(0)
+        lead, low = coeffs[max(coeffs)], coeffs[min(coeffs)]
         consider(spec.zero())
-        if const != 0:
-            num = abs(const.numerator * lead.denominator)
-            den = abs(lead.numerator * const.denominator)
-            for root in rational_root_candidates(num, den):
-                consider(spec.from_fraction(root))
-    # roots of unity reachable as +-z^k
+        num = abs(low.numerator * lead.denominator)
+        den = abs(lead.numerator * low.denominator)
+        for root in rational_root_candidates(num, den):
+            consider(spec.from_fraction(root))
+    # roots of unity reachable as +-z^k (Q has no z, and its +-1 are
+    # rational-root candidates)
     if spec.kind != "rational":
         g = spec.gen()
         power = spec.one()
@@ -484,9 +486,6 @@ def eigenvalue_candidates(m: Matrix):
             power = power * g
             if power == spec.one():
                 break
-    else:
-        consider(spec.from_int(1))
-        consider(spec.from_int(-1))
     return out
 
 

@@ -382,7 +382,10 @@ def test_malformed_action_file_refused(capsys, tmp_path, lines):
 # search, and parabolic reaches translate and the dehomogenization.  Their
 # stdout, stderr and exit codes were captured by running
 # `python -m invforge.cli <argv> --machine` from the repo root while both
-# still ran FieldElement loops, so any change of bytes shows here.
+# still ran FieldElement loops, so any change of bytes shows here.  `verify`
+# on e8 and m7 (the corpus examples whose bytes perfbench/reference does
+# not hold) and `molien` on the eight group files over Q were captured the
+# same way while Q still had a Fraction kernel of its own.
 with open(os.path.join(ROOT, "tests", "data", "cli-machine-outputs.json")) as fh:
     PINNED = json.load(fh)
 

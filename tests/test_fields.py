@@ -175,13 +175,10 @@ def _coefficients(x):
 def test_spec_hash_and_rep_types(text):
     spec = parse_field_spec(text)
     assert hash(spec) == hash((spec.kind, spec.p, spec.modulus, spec.cyclotomic_n))
-    if spec.kind == "rational":
-        assert type((spec.from_int(5) * spec.zero()).rep) is Fraction
-        return
-    # F_{p^m} coefficients are ints, number-field coefficients Fractions,
-    # never a bare int 0 (sorting by str(_coefficients) relies on it).  An
-    # F_{p^m} rep is its coefficient tuple; a number-field rep is an int
-    # tuple over a positive int denominator, with no common factor.
+    # F_{p^m} coefficients are ints, number-field coefficients (Q's too)
+    # Fractions, never a bare int 0 (sorting by str(_coefficients) relies on
+    # it).  An F_{p^m} rep is its coefficient tuple; a number-field rep is an
+    # int tuple over a positive int denominator, with no common factor.
     coeff_type = int if spec.kind == "finite" else Fraction
     x = spec.gen() * spec.from_int(5) if spec.degree > 1 else spec.from_int(5)
     if spec.degree > 1:
@@ -385,7 +382,7 @@ def _fractions_built(fn):
     return count
 
 
-@pytest.mark.parametrize("text", NUMBER_FIELDS)
+@pytest.mark.parametrize("text", NUMBER_FIELDS + ["rational"])
 def test_number_field_scalar_ops_build_no_fraction(text):
     spec = parse_field_spec(text)
     rng = random.Random(3)
@@ -399,6 +396,19 @@ def test_number_field_scalar_ops_build_no_fraction(text):
 
     assert _fractions_built(scalar_ops_and_row_conversions) == 0
     assert _fractions_built(lambda: _coefficients(spec.from_int(1))) > 0
+
+
+def test_rational_sort_key_orders_as_fraction_strings():
+    # projective_fixed_points sorts by str(_coefficients(rep)): over Q that
+    # is str((c,)) of the one coefficient c, which orders coordinates
+    # exactly as str(c) does
+    q = FieldSpec.rationals()
+    rng = random.Random(29)
+    for _ in range(3000):
+        a, b = (Fraction(rng.randint(-300, 300), rng.choice([1, rng.randint(1, 300)]))
+                for _ in range(2))
+        assert _coefficients(q.from_fraction(a)) == (a,)
+        assert (str(a) < str(b)) == (str((a,)) < str((b,)))
 
 
 def _conjugate_by_zbar_powers(elt):

@@ -260,3 +260,33 @@ def test_enumeration_bounds_in_library():
     with pytest.raises(BoundExceededError):
         # a user-given h skips the product; 3^13 chart points remain
         check_parabolic_claim(parse_polynomial("x1", 14, F3))
+    # work budgets, checked after the counts above
+    f997 = FieldSpec.finite_field(997)
+    with pytest.raises(BoundExceededError, match="translate term"):
+        check_claim_51(parse_polynomial("x*y", 2, f997))
+    with pytest.raises(BoundExceededError, match="^point"):
+        check_claim_51(parse_polynomial("x*y", 4, f997, var_names=("x", "y", "u", "v")))
+    with pytest.raises(BoundExceededError, match="product term"):
+        all_projective_linear_forms(FieldSpec.finite_field(1009), 2)
+
+
+@pytest.mark.parametrize("argv, what, seconds", [
+    # 997^2 points pass the point bound; 4 terms per translate of x*y do not
+    (["claim51", "--poly", "x*y", "--q", "997", "--n", "2"], "translate term", 2),
+    # the 10,008 forms have a product of only 10,009 monomials, but
+    # building it makes 2 * C(10009, 2) term products
+    (["parabolic", "--q", "10007", "--n", "2"], "product term", 2),
+    # a user-given h skips the product; its chart x2 - x2^1009 has translates
+    # of up to 1,012 terms at each of the 1,009 chart points (the invariance
+    # check before the bound takes most of the time)
+    (["parabolic", "--q", "1009", "--n", "2", "--poly", "x1^1009*x2 - x1*x2^1009"],
+     "translate term", 5),
+])
+def test_work_budgets_refuse_before_starting(argv, what, seconds):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", BOUNDED_CLI_SCRIPT, *argv, "--machine"],
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < seconds
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {what} enumeration bound 1000000 exceeded\n"

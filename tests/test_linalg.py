@@ -10,7 +10,8 @@ from invforge.fields import FieldSpec, _berkowitz, _reduced_product, parse_field
 from invforge.groups import automorphism_group
 from invforge.linalg import (EchelonBasis, Matrix, Subspace, char_poly,
                              combine_rows, commutant_basis, eigenspace,
-                             eval_poly_at_matrix, intertwiner_space, kernel,
+                             eigenvalue_candidates, eval_poly_at_matrix,
+                             intertwiner_space, is_split_diagonalizable, kernel,
                              simultaneous_eigenvectors, spin_submodule)
 from invforge.poly import Polynomial, parse_polynomial
 
@@ -237,6 +238,21 @@ def test_simultaneous_eigenvectors_rational_rotation():
                      [Q.from_fraction(Fraction(1, 2)), Q.from_fraction(Fraction(-1, 2))]])
     assert rot ** 3 == Matrix.identity(Q, 2)
     assert simultaneous_eigenvectors([rot]) == []
+
+
+@pytest.mark.parametrize("text", ["rational", "cyclotomic(3)"])
+def test_eigenvalue_candidates_beside_eigenvalue_zero(text):
+    # char polys x^2 - 2x and x^2 (x - 1/2)(x + 3): the nonzero rational
+    # roots come from the lowest nonzero coefficient, not from the zero
+    # constant term
+    spec = parse_field_spec(text)
+    m = Matrix.diagonal(spec, [spec.zero(), spec.from_int(2)])
+    assert eigenvalue_candidates(m) == [spec.zero(), spec.from_int(2)]
+    assert is_split_diagonalizable([m])
+    half = spec.from_fraction(Fraction(1, 2))
+    m = Matrix.diagonal(spec, [spec.zero(), half, spec.zero(), spec.from_int(-3)])
+    assert eigenvalue_candidates(m) == [spec.zero(), half, spec.from_int(-3)]
+    assert is_split_diagonalizable([m])
 
 
 def test_simultaneous_eigenvectors_scalars_rejected():

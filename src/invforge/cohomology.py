@@ -14,7 +14,7 @@ import os
 from .errors import InvForgeError, check_enumeration_bound
 from .fields import FieldSpec
 from .groups import automorphism_group, load_group_file
-from .tables import TableGroup, is_automorphism
+from .tables import TableGroup, extend_map, is_automorphism
 
 
 class FiniteAction:
@@ -47,24 +47,15 @@ class FiniteAction:
     @staticmethod
     def from_generator_images(gamma: TableGroup, module: TableGroup, images):
         """Extend generator -> automorphism assignments over all of Gamma."""
-        action = {gamma.identity: tuple(range(module.n))}
-        frontier = [gamma.identity]
-        gen_items = list(images.items())
-        while frontier:
-            a = frontier.pop()
-            for g, pg in gen_items:
-                b = gamma.mult(a, g)
-                composed = tuple(action[a][pg[m]] for m in range(module.n))
-                if b in action:
-                    if action[b] != composed:
-                        raise InvForgeError("generator images are inconsistent")
-                else:
-                    action[b] = composed
-                    frontier.append(b)
-        if len(action) != gamma.n:
+        gens, perms = list(images), list(images.values())
+        closure = gamma.cayley(gens)
+        if len(closure[0]) != gamma.n:
             raise InvForgeError("generator images do not reach all of Gamma")
-        return FiniteAction(gamma, module,
-                            [action[a] for a in range(gamma.n)])
+        action = extend_map(closure, gamma.n, tuple(range(module.n)),
+                            lambda a, pa, k: tuple(pa[m] for m in perms[k]))
+        if action is None:
+            raise InvForgeError("generator images are inconsistent")
+        return FiniteAction(gamma, module, action)
 
 
 class CocycleClassSet:
@@ -94,16 +85,19 @@ def h1_classes(act: FiniteAction) -> CocycleClassSet:
     """H^1(Gamma, M) by cocycle enumeration modulo twisted conjugation.
 
     Candidate maps are generated from values on a generating set of Gamma,
-    propagated with c_{st} = c_s * s(c_t), then the full cocycle identity is
-    verified.  Classes are orbits of c_s -> b^(-1) c_s s(b); representatives
-    are the lexicographically least tuples.
+    extended along its Cayley graph with c_{sg} = c_s * s(c_g), then the
+    full cocycle identity is verified.  Classes are orbits of
+    c_s -> b^(-1) c_s s(b); representatives are the lexicographically least
+    tuples.
     """
     gamma, module = act.gamma, act.module
     gens = gamma.generating_set()
     check_enumeration_bound(module.n ** max(1, len(gens)), "cocycle")
+    closure = gamma.cayley(gens)
     cocycles = []
     for assignment in itertools.product(range(module.n), repeat=len(gens)):
-        c = _propagate(act, gens, assignment)
+        c = extend_map(closure, gamma.n, module.identity,
+                       lambda s, cs, k: module.mult(cs, act.action[s][assignment[k]]))
         if c is not None and _cocycle_ok(act, c):
             cocycles.append(tuple(c))
     # twisted conjugation orbits
@@ -126,36 +120,15 @@ def h1_classes(act: FiniteAction) -> CocycleClassSet:
     return CocycleClassSet(classes)
 
 
-def _propagate(act, gens, assignment):
-    gamma, module = act.gamma, act.module
-    c = {gamma.identity: module.identity}
-    frontier = [gamma.identity]
-    images = dict(zip(gens, assignment))
-    while frontier:
-        s = frontier.pop()
-        for g, cg in images.items():
-            t = gamma.mult(s, g)
-            val = module.mult(c[s], act.action[s][cg])
-            if t in c:
-                if c[t] != val:
-                    return None
-            else:
-                c[t] = val
-                frontier.append(t)
-    if len(c) != gamma.n:
-        return None
-    return [c[s] for s in range(gamma.n)]
-
-
 def hom_count(gamma: TableGroup, module: TableGroup):
     """|Hom(Gamma, M)| by brute enumeration (cross-oracle for trivial actions)."""
-    trivial = FiniteAction(gamma, module,
-                           [tuple(range(module.n))] * gamma.n)
     gens = gamma.generating_set()
     check_enumeration_bound(module.n ** max(1, len(gens)), "homomorphism")
+    closure = gamma.cayley(gens)
     count = 0
     for assignment in itertools.product(range(module.n), repeat=len(gens)):
-        c = _propagate(trivial, gens, assignment)
+        c = extend_map(closure, gamma.n, module.identity,
+                       lambda a, ca, k: module.mult(ca, assignment[k]))
         if c is None:
             continue
         ok = all(c[gamma.mult(a, b)] == module.mult(c[a], c[b])

@@ -30,16 +30,7 @@ NUMBER_FIELD = "number_field"
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over Z or F_p (coefficient lists, c[0] = const)
-#
-# One copy of each helper serves both coefficient rings: `red` puts a
-# coefficient in normal form and `inv` inverts the leading coefficient of a
-# divisor.  Over Z every divisor is monic and both are `_exact`; over F_p
-# they are the `_red` and `_cinv` of FiniteField.
 # ---------------------------------------------------------------------------
-
-def _exact(c):
-    return c
-
 
 def _trim(coeffs):
     c = list(coeffs)
@@ -48,60 +39,16 @@ def _trim(coeffs):
     return c
 
 
-def _poly_sub(a, b, red):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _trim([red(x - y) for x, y in zip(a, b)])
-
-
-def _poly_mul(a, b, red):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = red(out[i + j] + x * y)
-    return _trim(out)
-
-
-def _poly_divmod(num, den, red, inv):
-    num, den = _trim(map(red, num)), _trim(map(red, den))
-    if not den:
-        raise FieldError("polynomial division by zero")
-    lead_inv = inv(den[-1])
-    quo = [0] * max(0, len(num) - len(den) + 1)
-    rem = num
-    while len(rem) >= len(den):
-        k = len(rem) - len(den)
-        f = quo[k] = red(rem[-1] * lead_inv)
-        for i, d in enumerate(den):
-            rem[k + i] = red(rem[k + i] - f * d)
-        rem = _trim(rem)
-    return quo, rem
-
-
-def _poly_gcd(a, b, red, inv):
-    """Monic gcd; [] when both are zero."""
-    a, b = _trim(map(red, a)), _trim(map(red, b))
-    while b:
-        a, b = b, _poly_divmod(a, b, red, inv)[1]
-    if a:
-        c = inv(a[-1])
-        a = [red(x * c) for x in a]
-    return a
-
-
-def _poly_powmod(base, e, mod, red, inv):
-    result = [1]
-    base = _poly_divmod(base, mod, red, inv)[1]
-    while e:
+def _power(x, e, mul):
+    """x^e for e >= 1 by repeated squaring with the product `mul`."""
+    result = None
+    while True:
         if e & 1:
-            result = _poly_divmod(_poly_mul(result, base, red), mod, red, inv)[1]
-        base = _poly_divmod(_poly_mul(base, base, red), mod, red, inv)[1]
+            result = x if result is None else mul(result, x)
         e >>= 1
-    return result
+        if not e:
+            return result
+        x = mul(x, x)
 
 
 def _reduced_product(a, b, tail):
@@ -159,21 +106,26 @@ def cyclotomic_coeffs(n):
     poly = [-1] + [0] * (n - 1) + [1]  # z^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_coeffs(d), _exact, _exact)
-            if rem:
+            phi = cyclotomic_coeffs(d)  # monic: the long division stays in Z
+            quo = [0] * (len(poly) - len(phi) + 1)
+            for k in reversed(range(len(quo))):
+                c = quo[k] = poly[k + len(phi) - 1]
+                for i, x in enumerate(phi):
+                    poly[k + i] -= c * x
+            if any(poly):
                 raise CertificateError(f"Phi_{d} does not divide z^{n} - 1")
+            poly = quo
     return tuple(poly)
 
 
 def is_irreducible_coeffs(coeffs, p):
     """Irreducibility of a univariate polynomial over F_p (degree <= 12).
 
-    Trial factorization: f of degree m is irreducible iff gcd(f, z^(p^d) - z)
-    is trivial for every d <= m/2.
+    Ben-Or's test: f of degree m is irreducible iff gcd(f, z^(p^d) - z) = 1
+    for every d <= m/2, that is iff z^(p^d) - z is a unit of F_p[z]/(f),
+    which holds iff its norm (`_scaled_inverse`) is nonzero mod p.
     """
-    fp = FiniteField(p=p, modulus=(0, 1))
-    red, inv = fp._red, fp._cinv
-    f = _trim(map(red, coeffs))
+    f = _trim(c % p for c in coeffs)
     m = len(f) - 1
     if m < 1:
         raise FieldError("irreducibility test needs degree >= 1")
@@ -181,11 +133,12 @@ def is_irreducible_coeffs(coeffs, p):
         raise FieldError(f"irreducibility test supports degree <= 12, got {m}")
     if m == 1:
         return True
-    x = [0, 1]
-    for d in range(1, m // 2 + 1):
-        frob = _poly_powmod(x, p ** d, f, red, inv)  # z^(p^d) mod f
-        g = _poly_gcd(f, _poly_sub(frob, x, red), red, inv)
-        if len(g) - 1 >= 1:
+    lead_inv = pow(f[-1], p - 2, p)
+    ring = FiniteField(p, [c * lead_inv % p for c in f])  # F_p[z]/(f / lead)
+    z = frob = ring.gen()
+    for _ in range(m // 2):
+        frob = frob ** p  # z^(p^d) from z^(p^(d-1))
+        if not ring._scaled_inverse((frob - z).rep)[1] % p:
             return False
     return True
 
@@ -833,14 +786,7 @@ class FieldElement:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, operator.mul) if e else self.spec.one()
 
     def inverse(self):
         return FieldElement(self.spec, self.spec._inv(self.rep))

@@ -8,7 +8,7 @@ import itertools
 import math
 
 from .errors import InvForgeError, NotInvariantError, check_enumeration_bound
-from .fields import FieldSpec
+from .fields import FieldSpec, _power
 from .groups import FiniteMatrixGroup
 from .invariants import apply_matrix
 from .linalg import Matrix, simultaneous_eigenvectors, spin_submodule
@@ -62,9 +62,25 @@ def multiplicity_at_point(f: Polynomial, point):
 
 
 def _translate_terms(f):
-    """T = sum over the terms x^e of f of prod (e_i + 1): the terms that
-    expanding one translate f(x + p) gives before like terms are collected."""
-    return sum(math.prod(e + 1 for e in expo) for expo in f.terms)
+    """T: the term products one translate f(x + p) costs in `compose`.
+
+    Each term x^e of f expands to prod (e_i + 1) terms before like terms
+    are collected, after each (x_i + p_i)^(e_i) is built by `_power`.  That
+    squaring is counted by running `_power` on exponents: (x + p)^r has
+    r + 1 terms.
+    """
+    products = []
+
+    def mul(r, s):
+        products.append((r + 1) * (s + 1))
+        return r + s
+
+    for expo in f.terms:
+        products.append(math.prod(e + 1 for e in expo))
+        for e in expo:
+            if e:
+                _power(1, e, mul)
+    return sum(products)
 
 
 class MultReport:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import operator
 
-from .errors import (BoundExceededError, CertificateError, ClosureCapError,
-                     InvForgeError, LinalgError, ModularityError)
+from .errors import (BoundExceededError, CertificateError, InvForgeError,
+                     LinalgError, ModularityError)
 from .fields import parse_element, parse_field_spec
 from .linalg import Matrix, commutant_basis, is_split_diagonalizable
 from . import tables
@@ -22,7 +22,7 @@ DEFAULT_AUT_BOUND = 400
 class FiniteMatrixGroup(tables.IndexedGroup):
     """Closed set of invertible matrices with indexed multiplication.
 
-    Products are read off the closure's Cayley graph (`_cayley_closure`),
+    Products are read off the closure's Cayley graph (`tables.cayley_closure`),
     never recomputed from matrices.  The identity is element 0.
     """
 
@@ -60,7 +60,7 @@ class FiniteMatrixGroup(tables.IndexedGroup):
                 raise LinalgError("generators must be square, one size, one field")
             if not g.is_invertible():
                 raise LinalgError("singular generator")
-        elements, right, parent = _cayley_closure(
+        elements, right, parent = tables.cayley_closure(
             Matrix.identity(spec, n), gens, operator.mul, Matrix.key, cap)
         # right[0][k] is the index of 1 * gens[k]
         return FiniteMatrixGroup(spec, n, elements, right[0], right, parent,
@@ -133,40 +133,10 @@ class FiniteMatrixGroup(tables.IndexedGroup):
     def subgroup(self, indices, name=None):
         """Subgroup generated by `indices`, elements in the order `close`
         gives for the same generator matrices, found without matrix products."""
-        gens = list(indices) or [0]
-        members, right, parent = _cayley_closure(
-            0, gens, self.mult, lambda x: x, self.order)
+        members, right, parent = self.cayley(list(indices) or [0])
         return FiniteMatrixGroup(self.spec, self.n,
                                  [self.elements[x] for x in members],
                                  right[0], right, parent, name=name)
-
-
-def _cayley_closure(one, gens, times, key, cap):
-    """Breadth-first closure of {one} under right multiplication by gens.
-
-    Returns (elements, right, parent) in queue order: right[i][k] is the
-    index of times(elements[i], gens[k]) and parent[j] = (i, k) is the edge
-    that first reached j.
-    """
-    elements = [one]
-    index = {key(one): 0}
-    right, parent = [], [None]
-    for i, x in enumerate(elements):  # grows while iterated: the BFS queue
-        row = []
-        for k, g in enumerate(gens):
-            y = times(x, g)
-            y_key = key(y)
-            j = index.get(y_key)
-            if j is None:
-                j = index[y_key] = len(elements)
-                elements.append(y)
-                parent.append((i, k))
-                if len(elements) > cap:
-                    raise ClosureCapError(
-                        f"closure exceeded cap {cap}: group infinite or too large")
-            row.append(j)
-        right.append(row)
-    return elements, right, parent
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +161,9 @@ def pseudo_reflections(g: FiniteMatrixGroup):
 
 def reflection_subgroup(g: FiniteMatrixGroup):
     refl = pseudo_reflections(g)
-    if not refl:
-        return FiniteMatrixGroup.close([Matrix.identity(g.spec, g.n)],
-                                       cap=2, name="trivial")
     sub = g.subgroup(refl, name="reflection subgroup")
     # normality: conjugates of pseudo-reflections are pseudo-reflections
-    members = g.subgroup_closure(refl)
+    members = {g.index_of(m) for m in sub.elements}
     for w in refl:
         for gi in g.generator_indices:
             if g.mult(g.mult(gi, w), g.inverse(gi)) not in members:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvForgeError, ModularityError
-from .groups import (FiniteMatrixGroup, pseudo_reflections,
-                     reflection_subgroup)
+from .groups import FiniteMatrixGroup, reflection_subgroup
 from .fields import _berkowitz
 from .linalg import EchelonBasis, Matrix, combine_rows, kernel
 from .poly import Polynomial
@@ -475,7 +474,7 @@ def cst_quotient_action(group: FiniteMatrixGroup) -> ReductionReport:
             f"(found {len(basics)} generators, degree product {prod}, |W| = {w.order})")
     # coset representatives of G/W inside G (minimal index per coset)
     _, coset_of = group.table_group().quotient(
-        group.subgroup_closure(pseudo_reflections(group)))
+        group.index_of(m) for m in w.elements)
     reps = []
     for x, c in enumerate(coset_of):
         if c == len(reps):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 
 from .errors import FieldError, LinalgError
-from .fields import FieldElement, _berkowitz, rational_root_candidates
+from .fields import FieldElement, _berkowitz, _power, rational_root_candidates
 from .poly import Polynomial
 
 
@@ -119,15 +120,9 @@ class Matrix:
             raise LinalgError("power of a non-square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        result = Matrix.identity(self.spec, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            if e > 1:
-                base = base * base
-            e >>= 1
-        return result
+        if not e:
+            return Matrix.identity(self.spec, self.rows)
+        return _power(self, e, operator.mul)
 
     def apply(self, vec):
         """Matrix times a column vector (tuple of FieldElements): the

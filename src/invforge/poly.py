@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import partial
 
 from .errors import EntryParseError, FieldError
-from .fields import FieldElement, _Tokens, _join_terms, _parse_atom, _parse_expr
+from .fields import (FieldElement, _Tokens, _join_terms, _parse_atom,
+                     _parse_expr, _power)
 
 
 class Polynomial:
@@ -95,7 +97,8 @@ class Polynomial:
             return _poly_of_int_terms(self.spec, self.nvars,
                                       {(0,) * self.nvars: one}, den)
         return _poly_of_int_terms(self.spec, self.nvars,
-                                  _int_pow(self.spec, base, k), den ** k)
+                                  _power(base, k, partial(_int_mul, self.spec)),
+                                  den ** k)
 
     # -- structure ---------------------------------------------------------
 
@@ -177,7 +180,7 @@ class Polynomial:
             for cache, base, a in zip(powers, bases, e):
                 if a:
                     if a not in cache:
-                        cache[a] = _int_pow(spec, base, a)
+                        cache[a] = _power(base, a, partial(_int_mul, spec))
                     prod = cache[a] if prod is None else _int_mul(spec, prod, cache[a])
             if prod is None:
                 terms = [((0,) * target.nvars, c)]
@@ -274,18 +277,6 @@ def _int_mul(spec, p, q):
             e = tuple(map(operator.add, e1, e2))
             out[e] = add(out[e], x) if e in out else x
     return {e: x for e, x in out.items() if not is_zero(x)}
-
-
-def _int_pow(spec, p, k):
-    """p^k for k >= 1 by repeated squaring (over den^k)."""
-    result = None
-    while True:
-        if k & 1:
-            result = p if result is None else _int_mul(spec, result, p)
-        k >>= 1
-        if not k:
-            return result
-        p = _int_mul(spec, p, p)
 
 
 def _poly_of_int_terms(spec, nvars, terms, den):

@@ -4,11 +4,70 @@ This is the engine shared by matrix groups (via their index tables),
 scalar quotients, and cohomology coefficient groups: element orders,
 conjugacy classes, subgroup closure, automorphism enumeration and
 elementary abelian rank all live here.
+
+It also owns the one breadth-first walk over generators: `cayley_closure`
+closes a set under right multiplication and records the Cayley graph, and
+`extend_map` defines a map on the group along that graph's edges.  Matrix
+group closure, subgroups, automorphisms, cocycles and actions all use them.
 """
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, InvForgeError
+from .errors import BoundExceededError, ClosureCapError, InvForgeError
+
+
+def cayley_closure(one, gens, times, key, cap):
+    """Breadth-first closure of {one} under right multiplication by gens.
+
+    Returns (elements, right, parent) in queue order: right[i][k] is the
+    index of times(elements[i], gens[k]) and parent[j] = (i, k) is the edge
+    that first reached j.
+    """
+    elements = [one]
+    index = {key(one): 0}
+    right, parent = [], [None]
+    for i, x in enumerate(elements):  # grows while iterated: the BFS queue
+        row = []
+        for k, g in enumerate(gens):
+            y = times(x, g)
+            y_key = key(y)
+            j = index.get(y_key)
+            if j is None:
+                j = index[y_key] = len(elements)
+                elements.append(y)
+                parent.append((i, k))
+                if len(elements) > cap:
+                    raise ClosureCapError(
+                        f"closure exceeded cap {cap}: group infinite or too large")
+            row.append(j)
+        right.append(row)
+    return elements, right, parent
+
+
+def extend_map(closure, order, start, step):
+    """The map f on element indices 0..order-1 along a closure's edges.
+
+    `closure` is a `cayley_closure` of element indices under gens.  f(1) is
+    `start`, and f(a * gens[k]) = step(a, f(a), k) must hold on every edge
+    a -> a * gens[k].  Returns f as a list indexed by element, or None when
+    two edges disagree or the gens do not reach all `order` elements.
+    """
+    elements, right, _ = closure
+    if len(elements) != order:
+        return None
+    values = [start]  # values[i] = f(elements[i])
+    for i, row in enumerate(right):
+        a, fa = elements[i], values[i]
+        for k, j in enumerate(row):
+            fb = step(a, fa, k)
+            if j == len(values):  # first edge into j: its parent edge
+                values.append(fb)
+            elif values[j] != fb:
+                return None
+    f = [None] * order
+    for x, v in zip(elements, values):
+        f[x] = v
+    return f
 
 
 class IndexedGroup:
@@ -40,18 +99,13 @@ class IndexedGroup:
             k += 1
         self._orders[a], self._inv[a] = k, prev
 
+    def cayley(self, gens):
+        """`cayley_closure` of the identity under gens, on element indices."""
+        return cayley_closure(self.identity, list(gens), self.mult,
+                              int, len(self._orders))  # indices are keys
+
     def subgroup_closure(self, gens):
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        return frozenset(self.cayley(gens)[0])
 
 
 class TableGroup(IndexedGroup):
@@ -169,7 +223,7 @@ def automorphisms(tg: TableGroup, bound=400):
 
     Backtracking over images of a small generating set (ordered by ascending
     element order), candidates filtered by element order and conjugacy class
-    size; each assignment is extended by multiplicative propagation.
+    size; each assignment is extended along the generators' Cayley graph.
     """
     if tg.n > bound:
         raise BoundExceededError(
@@ -184,33 +238,16 @@ def automorphisms(tg: TableGroup, bound=400):
         og, cg = tg.element_order(g), class_size[g]
         candidates.append([x for x in range(tg.n)
                            if tg.element_order(x) == og and class_size[x] == cg])
+    closure = tg.cayley(gens)
+    table = tg.table
     found = []
-
-    def extend(images):
-        """Propagate gen -> image over the whole group; None if inconsistent."""
-        phi = {tg.identity: tg.identity}
-        frontier = [tg.identity]
-        while frontier:
-            a = frontier.pop()
-            fa = phi[a]
-            for g, h in zip(gens, images):
-                b = tg.mult(a, g)
-                fb = tg.mult(fa, h)
-                if b in phi:
-                    if phi[b] != fb:
-                        return None
-                else:
-                    phi[b] = fb
-                    frontier.append(b)
-        if len(phi) != tg.n or len(set(phi.values())) != tg.n:
-            return None
-        return tuple(phi[x] for x in range(tg.n))
 
     def backtrack(i, images):
         if i == len(gens):
-            perm = extend(images)
-            if perm is not None:
-                found.append(perm)
+            perm = extend_map(closure, tg.n, tg.identity,
+                              lambda a, fa, k: table[fa][images[k]])
+            if perm is not None and len(set(perm)) == tg.n:
+                found.append(tuple(perm))
             return
         for x in candidates[i]:
             backtrack(i + 1, images + [x])

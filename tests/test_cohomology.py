@@ -32,6 +32,22 @@ def test_h1_z2_inversion_on_mu4():
     assert h1_classes(act).count == 2
 
 
+def test_generator_images_refused():
+    z2, z4 = TableGroup.cyclic(2), TableGroup.cyclic(4)
+    v4 = TableGroup([[i ^ j for j in range(4)] for i in range(4)])
+    inv = tuple((-i) % 4 for i in range(4))
+    # an automorphism of order 3 cannot be the image of an element of order 2
+    with pytest.raises(InvForgeError, match="inconsistent"):
+        FiniteAction.from_generator_images(z2, v4, {1: (0, 2, 3, 1)})
+    # 2 generates only {0, 2} of Z/4
+    with pytest.raises(InvForgeError, match="reach"):
+        FiniteAction.from_generator_images(z4, z4, {2: inv})
+    with pytest.raises(InvForgeError, match="reach"):
+        FiniteAction.from_generator_images(z2, z4, {})
+    trivial = FiniteAction.from_generator_images(TableGroup.cyclic(1), z4, {})
+    assert trivial.action == (tuple(range(4)),)
+
+
 def test_h1_z2_trivial_on_s3(s3_perm):
     act = _trivial_action(TableGroup.cyclic(2), s3_perm.table_group())
     assert h1_classes(act).count == 2

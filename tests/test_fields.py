@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -8,8 +9,8 @@ import pytest
 from invforge.errors import EntryParseError, FieldError
 from invforge.fields import (FieldElement, FieldSpec, FiniteField, NumberField,
                              cyclotomic_coeffs, cyclotomic_polynomial,
-                             is_irreducible_coeffs, parse_element,
-                             parse_field_spec)
+                             is_irreducible_coeffs, is_irreducible_mod_p,
+                             parse_element, parse_field_spec)
 from invforge.poly import Polynomial, parse_polynomial
 
 
@@ -110,7 +111,6 @@ def test_is_irreducible_mod_p():
 
 
 def test_is_irreducible_mod_p_polynomial_surface():
-    from invforge.fields import is_irreducible_mod_p
     f2 = FieldSpec.finite_field(2)
     assert is_irreducible_mod_p(parse_polynomial("x^2 + x + 1", 1, f2,
                                                  var_names=("x",))) is True
@@ -122,6 +122,40 @@ def test_is_irreducible_mod_p_polynomial_surface():
                                                  var_names=("x",))) is True
     with pytest.raises(FieldError):
         is_irreducible_mod_p(parse_polynomial("3", 1, f5, var_names=("x",)))
+
+
+def _monic(p, degree):
+    """All monic coefficient lists of this degree over F_p, constant first."""
+    return [list(low) + [1]
+            for low in itertools.product(range(p), repeat=degree)]
+
+
+def _times_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 4), (3, 4), (5, 3), (7, 3)])
+def test_irreducibility_matches_products_of_monic_factors(p, max_degree):
+    for m in range(1, max_degree + 1):
+        reducible = {tuple(_times_mod(a, b, p))
+                     for d in range(1, m // 2 + 1)
+                     for a in _monic(p, d) for b in _monic(p, m - d)}
+        for f in _monic(p, m):
+            assert is_irreducible_coeffs(f, p) is (tuple(f) not in reducible), f
+
+
+def test_irreducibility_of_a_non_monic_polynomial():
+    f5 = FieldSpec.finite_field(5)
+    # 2x^2 + 1 = 2 (x^2 + 3) over F_5, and 3 is not a square mod 5
+    assert is_irreducible_mod_p(parse_polynomial("2*x^2 + 1", 1, f5,
+                                                 var_names=("x",))) is True
+    # 3x^2 - 3 = 3 (x - 1)(x + 1)
+    assert is_irreducible_mod_p(parse_polynomial("3*x^2 - 3", 1, f5,
+                                                 var_names=("x",))) is False
 
 
 def test_finite_field_modulus_checked():

@@ -7,7 +7,7 @@ import pytest
 
 from invforge.errors import BoundExceededError, InvForgeError, NotInvariantError
 from invforge.fields import FieldSpec, is_irreducible_coeffs
-from invforge.geometry import (ProjPoint, _normalized_vectors,
+from invforge.geometry import (ProjPoint, _normalized_vectors, _translate_terms,
                                all_projective_linear_forms,
                                check_claim_51, check_parabolic_claim,
                                multiplicity_at_point, perm_module_irreducible,
@@ -15,7 +15,7 @@ from invforge.geometry import (ProjPoint, _normalized_vectors,
 from invforge.groups import close_group
 from invforge.linalg import Matrix
 from invforge.poly import Polynomial, parse_polynomial
-from invforge import corpus
+from invforge import corpus, poly
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.finite_field(2)
@@ -276,11 +276,17 @@ def test_enumeration_bounds_in_library():
     # the 10,008 forms have a product of only 10,009 monomials, but
     # building it makes 2 * C(10009, 2) term products
     (["parabolic", "--q", "10007", "--n", "2"], "product term", 2),
-    # a user-given h skips the product; its chart x2 - x2^1009 has translates
-    # of up to 1,012 terms at each of the 1,009 chart points (the invariance
-    # check before the bound takes most of the time)
+    # a user-given h skips the product; its chart x2 - x2^1009 costs
+    # T = 1,012 terms plus 424,664 squaring products at each of the 1,009
+    # chart points (the invariance check before the bound takes most of the
+    # time)
     (["parabolic", "--q", "1009", "--n", "2", "--poly", "x1^1009*x2 - x1*x2^1009"],
      "translate term", 5),
+    # the default product passes every earlier bound; the chart x2^q - x2
+    # costs T = 18,146 term products at each of 211 points (3.8 * 10^6),
+    # and 106,679 at each of 503
+    (["parabolic", "--q", "211", "--n", "2"], "translate term", 2),
+    (["parabolic", "--q", "503", "--n", "2"], "translate term", 2),
 ])
 def test_work_budgets_refuse_before_starting(argv, what, seconds):
     start = time.perf_counter()
@@ -290,3 +296,24 @@ def test_work_budgets_refuse_before_starting(argv, what, seconds):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: {what} enumeration bound 1000000 exceeded\n"
+
+
+def test_translate_budget_counts_the_squaring_products(monkeypatch):
+    # T for x^e is its e + 1 expanded terms plus the term products of
+    # building (x + 1)^e; over Q no binomial coefficient vanishes, so the
+    # products that `compose` makes are exactly the rest of T
+    products = []
+    int_mul = poly._int_mul
+
+    def counted(spec, p, q):
+        products.append(len(p) * len(q))
+        return int_mul(spec, p, q)
+
+    monkeypatch.setattr(poly, "_int_mul", counted)
+    for e in (1, 2, 3, 7, 8, 101, 211):
+        f = Polynomial(Q, 1, {(e,): Q.one()})
+        products.clear()
+        f.translate((Q.one(),))
+        assert _translate_terms(f) == e + 1 + sum(products), e
+    assert _translate_terms(parse_polynomial("x^211 - x", 1, Q,
+                                             var_names=("x",))) == 18146

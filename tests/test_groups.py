@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -14,7 +15,7 @@ from invforge.groups import (automorphism_group, character_inner_product,
                              outer_classes, parse_group_text,
                              pseudo_reflections, reflection_subgroup)
 from invforge.linalg import Matrix
-from invforge.tables import TableGroup, is_automorphism
+from invforge.tables import TableGroup, automorphisms, is_automorphism
 from invforge import corpus
 
 Q = FieldSpec.rationals()
@@ -136,6 +137,26 @@ def test_automorphism_group_properties(quaternion):
     inner_count = len([a for a in auts if a.inner])
     center = len(quaternion.center_indices())
     assert inner_count == quaternion.order // center
+
+
+def _dihedral8():
+    """D4 on indices i + 4j for r^i s^j: (i, j)(k, l) = (i + (-1)^j k, j + l)."""
+    return TableGroup([[(i + (-1) ** j * k) % 4 + 4 * ((j + l) % 2)
+                        for l in range(2) for k in range(4)]
+                       for j in range(2) for i in range(4)])
+
+
+def test_automorphisms_match_brute_force(quaternion, s3_perm):
+    groups = [TableGroup.cyclic(n) for n in range(1, 9)]
+    groups += [s3_perm.table_group(), quaternion.table_group(), _dihedral8(),
+               TableGroup([[i ^ j for j in range(8)] for i in range(8)])]
+    counts = []
+    for tg in groups:
+        brute = [p for p in itertools.permutations(range(tg.n))
+                 if is_automorphism(tg, p)]
+        assert automorphisms(tg) == brute
+        counts.append(len(brute))
+    assert counts == [1, 1, 2, 2, 4, 2, 6, 4, 6, 24, 8, 168]
 
 
 def test_automorphism_bound():

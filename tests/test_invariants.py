@@ -14,7 +14,7 @@ from invforge.invariants import (Relation, apply_matrix,
                                  reynolds, scaled_torus_exponents)
 from invforge.linalg import EchelonBasis, Matrix
 from invforge.poly import Polynomial, parse_polynomial
-from invforge import corpus
+from invforge import corpus, groups, invariants
 
 Q = FieldSpec.rationals()
 
@@ -407,6 +407,25 @@ def test_cst_reduction_mixed_group():
         prod *= d
     assert prod == w.order
     assert len(rep.basics) == g.n
+
+
+def test_cst_reduction_finds_pseudo_reflections_once(monkeypatch, sign_group):
+    calls = []
+    find = groups.pseudo_reflections
+
+    def counted(g):
+        calls.append(g)
+        return find(g)
+
+    monkeypatch.setattr(groups, "pseudo_reflections", counted)
+    # the module's own name for it too, should it import one
+    monkeypatch.setattr(invariants, "pseudo_reflections", counted, raising=False)
+    mixed = corpus.load_corpus_group("mixed.group")
+    for g in (sign_group, mixed):
+        rep = cst_quotient_action(g)
+        w = {g.index_of(m) for m in rep.reflection_group.elements}
+        assert w == set(g.subgroup_closure(find(g)))
+    assert calls == [sign_group, mixed]
 
 
 def test_cst_reduction_reflection_free(icosahedral):

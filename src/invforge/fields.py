@@ -451,6 +451,8 @@ class FiniteField(FieldSpec):
 
     def _add(self, a, b):
         p = self.p
+        if self.degree == 1:
+            return ((a[0] + b[0]) % p,)
         return tuple((x + y) % p for x, y in zip(a, b))
 
     _int_add = _add
@@ -490,6 +492,9 @@ class FiniteField(FieldSpec):
         return self._inv(a), 1
 
     def _row_scale(self, A, row):
+        if self.degree == 1:
+            p, a0 = self.p, A[0]
+            return [(a0 * b0 % p,) for b0, in row]
         return [self._mul(A, x) for x in row]
 
     def _row_combine(self, D, row, F, piv):

@@ -15,9 +15,9 @@ import math
 
 from .errors import InvForgeError, ModularityError
 from .groups import FiniteMatrixGroup, reflection_subgroup
-from .fields import _berkowitz
+from .fields import FieldElement, _berkowitz
 from .linalg import EchelonBasis, Matrix, combine_rows, kernel
-from .poly import Polynomial
+from .poly import Polynomial, _int_mul, _int_terms
 
 
 def weighted_monomials(degrees, w):
@@ -94,6 +94,8 @@ def invariant_space(group: FiniteMatrixGroup, d):
     space is read off orbit transports in linear time (the identity basis
     when there are none).  Each remaining generator then cuts that basis
     with one kernel, mapping only the monomials in the basis's support.
+    Both read the monomial images from `_monomial_images`, which builds
+    rho_d(gen) from the rho_(d-1)(gen) of the previous call when it can.
     """
     if d < 0:
         raise InvForgeError("degree must be >= 0")
@@ -105,10 +107,11 @@ def invariant_space(group: FiniteMatrixGroup, d):
     monomial = [all(sum(not c.is_zero() for c in row) == 1 for row in g.entries)
                 for g in gens]
     vectors = _orbit_fixed_vectors(
-        spec, basis, [g for g, m in zip(gens, monomial) if m])
+        spec, basis, [_monomial_images(group, g, basis)
+                      for g, m in zip(gens, monomial) if m])
     for g, m in zip(gens, monomial):
         if not m and vectors:
-            vectors = _kernel_cut(spec, basis, vectors, g)
+            vectors = _kernel_cut(group, basis, vectors, g)
     out = []
     for v in vectors:
         terms = {e: c for e, c in zip(basis, v) if not c.is_zero()}
@@ -116,12 +119,47 @@ def invariant_space(group: FiniteMatrixGroup, d):
     return out
 
 
-def _monomial_image(spec, g, e):
-    return apply_matrix(g, Polynomial.monomial(spec, g.rows, e))
+def _monomial_images(group, g, exponents):
+    """(integer-term dict, den) of g . x^e for each exponent tuple e of one
+    degree d >= 1, g a generator of group.
+
+    group._cache keeps, per generator, the images of the last degree asked
+    (only the monomials asked).  At degree d, x^e is x^(e - e_j) * x_j for
+    j the last variable with e_j > 0: when the image of x^(e - e_j) is
+    cached, g . x^e is that image times the linear form g . x_j.  Otherwise
+    (the first degree, or a jump such as e8's 12 -> 20 -> 30, where the
+    sparse support makes repeated squaring cheaper than a chain of
+    products) it is the substitution `apply_matrix`.
+    """
+    spec, key = group.spec, ("monomial images", g)
+    if key not in group._cache:
+        forms, _, den = _int_terms(spec, [Polynomial.linear(spec, row)
+                                          for row in g.entries])
+        group._cache[key] = forms, den, 0, {}
+    forms, den, last, known = group._cache[key]
+    d = sum(exponents[0])
+    current = known if last == d else {}
+    out = []
+    for e in exponents:
+        if e not in current:
+            j = max(i for i, a in enumerate(e) if a)
+            prev = e[:j] + (e[j] - 1,) + e[j + 1:]
+            if last == d - 1 and prev in known:
+                terms, prev_den = known[prev]
+                # the form outermost: one _row_scale of the image per term
+                current[e] = _int_mul(spec, forms[j], terms), prev_den * den
+            else:
+                image = apply_matrix(g, Polynomial.monomial(spec, group.n, e))
+                (terms,), _, image_den = _int_terms(spec, [image])
+                current[e] = terms, image_den
+        out.append(current[e])
+    group._cache[key] = forms, den, d, current
+    return out
 
 
-def _orbit_fixed_vectors(spec, basis, gens):
-    """Joint fixed vectors of generators sending monomial -> scalar*monomial.
+def _orbit_fixed_vectors(spec, basis, images):
+    """Joint fixed vectors of generators sending monomial -> scalar*monomial,
+    given by their `_monomial_images` of basis, one list per generator.
 
     Transport coefficients along generator moves; a component survives iff
     every loop has scalar 1.  Output is rref-canonical: within a component
@@ -130,10 +168,11 @@ def _orbit_fixed_vectors(spec, basis, gens):
     index = {e: i for i, e in enumerate(basis)}
     n = len(basis)
     moves = [[] for _ in range(n)]  # i -> list of (j, lam): gen maps m_i to lam*m_j
-    for g in gens:
-        for i, e in enumerate(basis):
-            (f, c), = _monomial_image(spec, g, e).terms.items()
-            moves[i].append((index[f], c))
+    for gen_images in images:
+        for i, (terms, den) in enumerate(gen_images):
+            (f, x), = terms.items()
+            lam, = spec._reps_of_int_row([x], den)
+            moves[i].append((index[f], FieldElement(spec, lam)))
     zero, one = spec.zero(), spec.one()
     coeff = [None] * n
     comp = [None] * n
@@ -172,22 +211,39 @@ def _orbit_fixed_vectors(spec, basis, gens):
     return [v for v in vectors if v is not None]
 
 
-def _kernel_cut(spec, basis, rows, g):
+def _kernel_cut(group, basis, rows, g):
     """rref basis of the vectors in span(rows) that g fixes; rows is an rref
     basis (the identity, orbit-transport output or an earlier cut).
 
     Only the monomials in the rows' support are mapped: (rho(g) - 1) * row
-    combines their moved images with the row's coefficients on them.
+    combines their moved images with the row's coefficients on them.  A
+    full-rank rref basis is the identity (the first cut's input when no
+    generator is monomial, as on m7): then the moved images are those
+    columns and the kernel basis is the cut, with no combine_rows on
+    either side.
     """
+    spec = group.spec
+    zero, one = spec.zero(), spec.one()
     index = {e: i for i, e in enumerate(basis)}
-    support = sorted({i for row in rows for i, c in enumerate(row) if not c.is_zero()})
+    full = len(rows) == len(basis)
+    if full:
+        support = range(len(basis))
+    else:
+        support = sorted({i for row in rows for i, c in enumerate(row)
+                          if not c.is_zero()})
     moved = []
-    for i in support:
-        image = coefficient_vector(_monomial_image(spec, g, basis[i]), index)
-        image[i] = image[i] - spec.one()
-        moved.append(image)
-    cols = combine_rows(spec, [[row[i] for i in support] for row in rows], moved)
+    images = _monomial_images(group, g, [basis[i] for i in support])
+    for i, (terms, den) in zip(support, images):
+        vec = [zero] * len(basis)
+        for e, r in zip(terms, spec._reps_of_int_row(list(terms.values()), den)):
+            vec[index[e]] = FieldElement(spec, r)
+        vec[i] = vec[i] - one
+        moved.append(vec)
+    cols = moved if full else combine_rows(
+        spec, [[row[i] for i in support] for row in rows], moved)
     ker = kernel(Matrix(spec, cols).transpose())
+    if full:
+        return ker.basis
     # No second elimination: for C the rref kernel basis and R the rref
     # rows, row j of C * R is C[j][i] at R's i-th pivot column and zero left
     # of R[q_j]'s pivot (q_j the pivot of C[j]), so C * R is rref already.
@@ -212,11 +268,15 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
     """Coefficients of (1/|G|) sum_g 1/det(1 - t g) up to degree d_max.
 
     Elements are bucketed by characteristic polynomial; each bucket's series
-    inverse is a linear recurrence of length n.
+    inverse is a linear recurrence of length n.  The series to the largest
+    degree asked is kept in group._cache; a smaller d_max is its truncation.
     """
     check_degree_bound(d_max)
     if group.spec.characteristic() != 0:
         raise ModularityError("Molien series requires characteristic 0")
+    memo = group._cache.get("molien series")
+    if memo is not None and len(memo) > d_max:
+        return GradedDims(memo.dims[:d_max + 1])
     spec, n = group.spec, group.n
     zero, one = spec.zero(), spec.one()
     buckets = {}
@@ -246,7 +306,8 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
         if val.denominator != 1 or val < 0:
             raise InvForgeError(f"non-integral Molien coefficient at degree {d}")
         dims.append(int(val))
-    return GradedDims(dims)
+    group._cache["molien series"] = series = GradedDims(dims)
+    return series
 
 
 # ---------------------------------------------------------------------------

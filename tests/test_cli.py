@@ -385,7 +385,12 @@ def test_malformed_action_file_refused(capsys, tmp_path, lines):
 # still ran FieldElement loops, so any change of bytes shows here.  `verify`
 # on e8 and m7 (the corpus examples whose bytes perfbench/reference does
 # not hold) and `molien` on the eight group files over Q were captured the
-# same way while Q still had a Fraction kernel of its own.
+# same way while Q still had a Fraction kernel of its own.  `generators`
+# on the ten group files the list did not hold yet (char2, po3diag and
+# z2mod at --max-degree 6) and `hilbert --max-degree 8` on the 18 group
+# files other than 2i2i2 were captured the same way while invariant_space
+# still substituted every monomial image at every degree; each run takes
+# 0.07-0.6 s as a process.
 with open(os.path.join(ROOT, "tests", "data", "cli-machine-outputs.json")) as fh:
     PINNED = json.load(fh)
 

@@ -196,6 +196,25 @@ def test_field_axioms_random(spec):
             assert (a / b) * b == a
 
 
+@pytest.mark.parametrize("spec", [
+    FieldSpec.finite_field(2),
+    FieldSpec.finite_field(5),
+    FieldSpec.finite_field(10007),
+    FieldSpec.finite_field(2, [1, 1, 0, 1]),
+], ids=["F2", "F5", "F10007", "F8"])
+def test_finite_field_integer_rows_match_scalar_ops(spec):
+    # the integer-row product and sum (degree-1 cases over F_p) against the
+    # scalar product and the coefficientwise sum mod p
+    rng = random.Random(spec.p)
+    for _ in range(200):
+        a = spec.random_element(rng).rep
+        row = [spec.random_element(rng).rep for _ in range(rng.randrange(6))]
+        assert spec._row_scale(a, row) == [spec._mul(a, x) for x in row]
+        for x in row:
+            assert spec._int_add(a, x) == tuple((u + v) % spec.p
+                                                for u, v in zip(a, x))
+
+
 def _coefficients(x):
     """The coefficients that rendering reads: a Fraction over Q, else the
     z^k coefficients (ints mod p, or Fractions over a number field)."""

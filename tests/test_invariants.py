@@ -6,14 +6,14 @@ import pytest
 from invforge.errors import ModularityError
 from invforge.fields import FieldSpec
 from invforge.groups import close_group
-from invforge.invariants import (Relation, apply_matrix,
+from invforge.invariants import (Relation, _monomial_images, apply_matrix,
                                  check_presented_automorphism,
                                  cst_quotient_action, find_relation,
                                  hilbert_dims, invariant_space, is_invariant,
                                  minimal_generators, molien_series, monomials,
                                  reynolds, scaled_torus_exponents)
 from invforge.linalg import EchelonBasis, Matrix
-from invforge.poly import Polynomial, parse_polynomial
+from invforge.poly import Polynomial, _poly_of_int_terms, parse_polynomial
 from invforge import corpus, groups, invariants
 
 Q = FieldSpec.rationals()
@@ -56,7 +56,7 @@ def test_monomial_fast_path_matches_dense_kernel(icosahedral):
             fast = invariant_space(g, d)
             dense = _orbit_fixed_vectors(g.spec, basis, [])
             for m in g.generators():
-                dense = _kernel_cut(g.spec, basis, dense, m)
+                dense = _kernel_cut(g, basis, dense, m)
             as_polys = lambda polys: sorted(p.render() for p in polys)
             assert as_polys(fast) == as_polys(
                 Polynomial(g.spec, g.n,
@@ -118,6 +118,55 @@ def test_invariant_space_maps_only_the_running_support(icosahedral, monkeypatch)
             bases.append(invariant_space(g, d))
             assert len(calls) == images, (g.generators(), d)
         assert bases[0] == bases[1]
+
+
+@pytest.mark.parametrize("name,reverse", [
+    ("m7.group", False), ("e8.group", False), ("e8.group", True),
+    ("an-split.group", False), ("char2.group", False), ("po3diag.group", False),
+    ("mixed.group", False),
+])
+def test_monomial_images_match_substitution(name, reverse):
+    # built from the previous degree's images where those are cached (the
+    # ascending run, then 10 after 9 and 12 after 11), substituted where
+    # not (9 after 6, 8 after 9, and the half of degree 12 whose
+    # predecessors degree 11 left out); only the last degree stays cached
+    g = corpus.load_corpus_group(name)
+    if reverse:
+        g = close_group(g.generators()[::-1])
+    spec = g.spec
+    for d in (1, 2, 3, 4, 5, 6, 9, 8, 10, 10, 11, 12):
+        for m in g.generators():
+            expos = monomials(g.n, d)
+            if d == 11:
+                expos = expos[::2]
+            for e, (terms, den) in zip(expos, _monomial_images(g, m, expos)):
+                assert _poly_of_int_terms(spec, g.n, terms, den) == apply_matrix(
+                    m, Polynomial.monomial(spec, g.n, e)), (name, d, e)
+            cached = g._cache["monomial images", m][3]
+            assert {sum(e) for e in cached} == {d}
+
+
+def test_hilbert_dims_m7_substitutes_only_at_degree_one(monkeypatch):
+    # rho_d(g) is built from rho_(d-1)(g): only the 3 degree-1 images are
+    # substitutions (454 when every degree substituted), and m7's one
+    # generator cuts the identity basis, whose kernel is the cut itself
+    g = corpus.load_corpus_group("m7.group")
+    calls = {"substitute_linear": 0, "combine_rows": 0}
+    substitute, combine = Polynomial.substitute_linear, invariants.combine_rows
+
+    def counted_substitute(self, rows):
+        calls["substitute_linear"] += 1
+        return substitute(self, rows)
+
+    def counted_combine(*args):
+        calls["combine_rows"] += 1
+        return combine(*args)
+
+    monkeypatch.setattr(Polynomial, "substitute_linear", counted_substitute)
+    monkeypatch.setattr(invariants, "combine_rows", counted_combine)
+    assert hilbert_dims(g, 12).dims == (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
+    assert calls["substitute_linear"] <= 3
+    assert calls["combine_rows"] == 0
 
 
 def test_m7_invariant_space_scalar_multiplies(monkeypatch):
@@ -196,6 +245,21 @@ def test_molien_examples(icosahedral):
     mol = molien_series(icosahedral, 31)
     nonzero = [d for d in range(32) if mol[d]]
     assert nonzero == [0, 12, 20, 24, 30]
+
+
+def test_molien_series_memo_truncates(monkeypatch):
+    # the series to the largest degree asked is kept: a smaller d_max runs
+    # no characteristic polynomial and equals a fresh computation
+    fresh = molien_series(corpus.load_corpus_group("q8.group"), 8)
+    g = corpus.load_corpus_group("q8.group")
+    molien_series(g, 20)
+
+    def no_berkowitz(*args):
+        pytest.fail("molien_series recomputed a characteristic polynomial")
+
+    monkeypatch.setattr(invariants, "_berkowitz", no_berkowitz)
+    assert molien_series(g, 8) == fresh
+    assert molien_series(g, 20).dims[:9] == fresh.dims
 
 
 def test_molien_rejects_positive_characteristic(char2_group):

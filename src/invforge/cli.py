@@ -230,10 +230,9 @@ def cmd_claim51(args):
 
 
 def cmd_parabolic(args):
-    spec = FieldSpec.finite_field(args.q)
-    h = (parse_polynomial(args.poly, args.n, spec)
+    h = (parse_polynomial(args.poly, args.n, FieldSpec.finite_field(args.q))
          if args.poly is not None else None)
-    rep = check_parabolic_claim(h, q=args.q, n=args.n, spec=spec)
+    rep = check_parabolic_claim(h, q=args.q, n=args.n)
     return rep.as_dict(), rep.verdict
 
 

@@ -180,17 +180,13 @@ def parabolic_generators(spec: FieldSpec, n):
 
 
 def _multiplicative_generator(spec):
-    """A generator of the cyclic group F_q^*, by exhaustive order check."""
+    """A generator of the cyclic group F_q^*: the first element whose walk
+    of powers 1, e, e^2, ... has q - 1 elements."""
     q = spec.size()
     for e in spec.elements():
-        if e.is_zero():
-            continue
-        order = 1
-        power = e
-        while power != spec.one():
-            power = power * e
-            order += 1
-        if order == q - 1:
+        if not e.is_zero() and len(tables.cayley_closure(
+                spec.one(), [e], lambda x, g: x * g, lambda x: x.rep,
+                q - 1)[0]) == q - 1:
             return e
     raise InvForgeError("no multiplicative generator found")
 
@@ -237,7 +233,7 @@ def _normalized_vectors(spec, n):
             yield (zero,) * lead + (one,) + tail
 
 
-def check_parabolic_claim(h, q=None, n=None, spec=None):
+def check_parabolic_claim(h, q=None, n=None):
     """Max multiplicity off (x1 = 0) of a parabolic-invariant hypersurface,
     with the verdict q * max_mult <= deg h.
 
@@ -248,9 +244,7 @@ def check_parabolic_claim(h, q=None, n=None, spec=None):
     only logged.
     """
     if h is None:
-        if spec is None:
-            spec = FieldSpec.finite_field(q)
-        h = all_projective_linear_forms(spec, n)
+        h = all_projective_linear_forms(FieldSpec.finite_field(q), n)
     spec = h.spec
     n = h.nvars
     if n < 1:

@@ -232,8 +232,7 @@ def outer_classes(g: FiniteMatrixGroup, bound=DEFAULT_AUT_BOUND):
     Each class is represented by its lexicographically least permutation.
     """
     auts = automorphism_group(g, bound=bound)
-    tg = g.table_group()
-    inner = sorted(tables.inner_automorphisms(tg))
+    inner = sorted(a.perm for a in auts if a.inner)
     seen = set()
     reps = []
     for a in auts:

@@ -18,6 +18,7 @@ from .groups import FiniteMatrixGroup, reflection_subgroup
 from .fields import FieldElement, _berkowitz
 from .linalg import EchelonBasis, Matrix, combine_rows, kernel
 from .poly import Polynomial, _int_mul, _int_terms
+from .tables import cayley_closure, extend_map
 
 
 def weighted_monomials(degrees, w):
@@ -161,54 +162,39 @@ def _orbit_fixed_vectors(spec, basis, images):
     """Joint fixed vectors of generators sending monomial -> scalar*monomial,
     given by their `_monomial_images` of basis, one list per generator.
 
-    Transport coefficients along generator moves; a component survives iff
-    every loop has scalar 1.  Output is rref-canonical: within a component
-    the lex-greatest monomial carries coefficient 1.
+    Each orbit of monomials is one `cayley_closure` from its least index
+    (its lex-greatest monomial) under the generator moves m_i -> lam * m_j.
+    An invariant with coefficient 1 at the root has f_j = lam * f_i on every
+    edge, which `extend_map` carries over the orbit; an orbit with a
+    disagreeing edge holds no invariant.  Output is rref-canonical.
     """
     index = {e: i for i, e in enumerate(basis)}
     n = len(basis)
-    moves = [[] for _ in range(n)]  # i -> list of (j, lam): gen maps m_i to lam*m_j
+    moves = []  # per generator (targets, scalars): m_i -> scalars[i] m_targets[i]
     for gen_images in images:
-        for i, (terms, den) in enumerate(gen_images):
+        targets, scalars = [], []
+        for terms, den in gen_images:
             (f, x), = terms.items()
             lam, = spec._reps_of_int_row([x], den)
-            moves[i].append((index[f], FieldElement(spec, lam)))
+            targets.append(index[f])
+            scalars.append(FieldElement(spec, lam))
+        moves.append((targets, scalars))
     zero, one = spec.zero(), spec.one()
-    coeff = [None] * n
-    comp = [None] * n
+    seen = [False] * n
     vectors = []
     for root in range(n):
-        if comp[root] is not None:
+        if seen[root]:
             continue
-        comp_id = len(vectors)
-        comp[root] = comp_id
-        coeff[root] = one
-        stack = [root]
-        members = [root]
-        consistent = True
-        while stack:
-            i = stack.pop()
-            for j, lam in moves[i]:
-                # f invariant and f_i on m_i forces f_j = lam * f_i on m_j
-                want = coeff[i] * lam
-                if comp[j] is None:
-                    comp[j] = comp_id
-                    coeff[j] = want
-                    members.append(j)
-                    stack.append(j)
-                elif comp[j] != comp_id or coeff[j] != want:
-                    if comp[j] != comp_id:
-                        raise InvForgeError("inconsistent orbit bookkeeping")
-                    consistent = False
-        if consistent:
+        orbit = cayley_closure(root, moves, lambda i, move: move[0][i], int, n)
+        for i in orbit[0]:
+            seen[i] = True
+        f = extend_map(orbit, n, one, lambda i, fi, k: fi * moves[k][1][i])
+        if f is not None:
             v = [zero] * n
-            scale = coeff[root].inverse()  # root is lex-greatest in its component
-            for m in members:
-                v[m] = coeff[m] * scale
+            for i in orbit[0]:
+                v[i] = f[i]
             vectors.append(v)
-        else:
-            vectors.append(None)
-    return [v for v in vectors if v is not None]
+    return vectors
 
 
 def _kernel_cut(group, basis, rows, g):

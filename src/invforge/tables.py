@@ -7,8 +7,11 @@ elementary abelian rank all live here.
 
 It also owns the one breadth-first walk over generators: `cayley_closure`
 closes a set under right multiplication and records the Cayley graph, and
-`extend_map` defines a map on the group along that graph's edges.  Matrix
-group closure, subgroups, automorphisms, cocycles and actions all use them.
+`extend_map` defines a map on the walk's orbit along that graph's edges.
+Matrix group closure, subgroups, automorphisms, cocycles and actions all
+use them, and so do orbits and powers: an element's order and inverse (the
+walk of its powers), the order of an F_q^* element, and the monomial orbits
+whose invariants `invariants._orbit_fixed_vectors` transports.
 """
 
 from __future__ import annotations
@@ -44,17 +47,15 @@ def cayley_closure(one, gens, times, key, cap):
     return elements, right, parent
 
 
-def extend_map(closure, order, start, step):
-    """The map f on element indices 0..order-1 along a closure's edges.
+def extend_map(closure, size, start, step):
+    """The map f on indices 0..size-1 along a closure's edges.
 
-    `closure` is a `cayley_closure` of element indices under gens.  f(1) is
+    `closure` is a `cayley_closure` of indices under gens.  f(one) is
     `start`, and f(a * gens[k]) = step(a, f(a), k) must hold on every edge
-    a -> a * gens[k].  Returns f as a list indexed by element, or None when
-    two edges disagree or the gens do not reach all `order` elements.
+    a -> a * gens[k].  Returns f as a list of `size` values, None at the
+    indices off the closure, or None when two edges disagree.
     """
     elements, right, _ = closure
-    if len(elements) != order:
-        return None
     values = [start]  # values[i] = f(elements[i])
     for i, row in enumerate(right):
         a, fa = elements[i], values[i]
@@ -64,7 +65,7 @@ def extend_map(closure, order, start, step):
                 values.append(fb)
             elif values[j] != fb:
                 return None
-    f = [None] * order
+    f = [None] * size
     for x, v in zip(elements, values):
         f[x] = v
     return f
@@ -88,16 +89,12 @@ class IndexedGroup:
         return self._orders[a]
 
     def _walk_powers(self, a):
-        """Order and inverse of a from one pass over a, a^2, ..., a^ord = 1."""
-        one = self.identity
-        k, prev, x = 1, one, a
-        while x != one:
-            if k == len(self._orders):  # the order of a divides |G|
-                raise InvForgeError(
-                    f"not a group: the powers of element {a} miss the identity")
-            prev, x = x, self.mult(x, a)
-            k += 1
-        self._orders[a], self._inv[a] = k, prev
+        """Order and inverse of a from the walk 1, a, a^2, ..., a^(ord-1)."""
+        powers, right, _ = self.cayley([a])
+        if right[-1][0]:  # the last edge must close the cycle at 1
+            raise InvForgeError(
+                f"not a group: the powers of element {a} miss the identity")
+        self._orders[a], self._inv[a] = len(powers), powers[-1]
 
     def cayley(self, gens):
         """`cayley_closure` of the identity under gens, on element indices."""
@@ -146,26 +143,15 @@ class TableGroup(IndexedGroup):
                 if all(self.table[a][b] == self.table[b][a] for b in range(self.n))]
 
     def conjugacy_classes(self):
-        """Classes as sorted tuples, via orbit closure under all conjugations."""
+        """Classes as sorted tuples: the class of x is {g x g^-1 : g in G}."""
         if self._classes is None:
-            assigned = [None] * self.n
-            classes = []
+            classes, seen = [], set()
             for x in range(self.n):
-                if assigned[x] is not None:
-                    continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    y = frontier.pop()
-                    for g in range(self.n):
-                        c = self.mult(self.mult(g, y), self.inverse(g))
-                        if c not in orbit:
-                            orbit.add(c)
-                            frontier.append(c)
-                idx = len(classes)
-                for y in orbit:
-                    assigned[y] = idx
-                classes.append(tuple(sorted(orbit)))
+                if x not in seen:
+                    cls = {self.mult(self.mult(g, x), self.inverse(g))
+                           for g in range(self.n)}
+                    seen |= cls
+                    classes.append(tuple(sorted(cls)))
             self._classes = tuple(classes)
         return self._classes
 
@@ -194,18 +180,19 @@ class TableGroup(IndexedGroup):
         normal = frozenset(normal_indices)
         if self.identity not in normal:
             raise InvForgeError("normal subgroup must contain the identity")
+        if any(self.mult(h, k) not in normal for h in normal for k in normal):
+            raise InvForgeError("not a subgroup: not closed under products")
+        if any(self.mult(self.mult(x, h), self.inverse(x)) not in normal
+               for x in range(self.n) for h in normal):
+            raise InvForgeError("subgroup is not normal")
         coset_of = [None] * self.n
         cosets = []
         for x in range(self.n):
-            if coset_of[x] is not None:
-                continue
-            members = sorted(self.mult(x, h) for h in normal)
-            idx = len(cosets)
-            for y in members:
-                if coset_of[y] is not None and coset_of[y] != idx:
-                    raise InvForgeError("subgroup is not normal (coset clash)")
-                coset_of[y] = idx
-            cosets.append(members)
+            if coset_of[x] is None:  # a new coset xN; the cosets partition G
+                members = sorted(self.mult(x, h) for h in normal)
+                for y in members:
+                    coset_of[y] = len(cosets)
+                cosets.append(members)
         m = len(cosets)
         table = [[None] * m for _ in range(m)]
         for i, ci in enumerate(cosets):

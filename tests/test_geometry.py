@@ -7,7 +7,8 @@ import pytest
 
 from invforge.errors import BoundExceededError, InvForgeError, NotInvariantError
 from invforge.fields import FieldSpec, is_irreducible_coeffs
-from invforge.geometry import (ProjPoint, _normalized_vectors, _translate_terms,
+from invforge.geometry import (ProjPoint, _multiplicative_generator,
+                               _normalized_vectors, _translate_terms,
                                all_projective_linear_forms,
                                check_claim_51, check_parabolic_claim,
                                multiplicity_at_point, perm_module_irreducible,
@@ -20,6 +21,25 @@ from invforge import corpus, poly
 Q = FieldSpec.rationals()
 F2 = FieldSpec.finite_field(2)
 F3 = FieldSpec.finite_field(3)
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (3, None), (2, (1, 1, 1)), (5, None), (7, None), (2, (1, 1, 0, 1)),
+    (3, (1, 0, 1)),
+])
+def test_multiplicative_generator_has_order_q_minus_1(p, modulus):
+    # F_3, F_4, F_5, F_7, F_8, F_9: the first element of F_q^* whose
+    # powers are all q - 1 nonzero elements
+    spec = FieldSpec.finite_field(p, modulus)
+    q = spec.size()
+
+    def order(e):
+        return len({(e ** k).rep for k in range(1, q)})
+
+    e = _multiplicative_generator(spec)
+    assert order(e) == q - 1
+    assert e == next(x for x in spec.elements() if not x.is_zero()
+                     and order(x) == q - 1)
 
 
 def _random_poly(spec, nvars, max_deg, rng, max_terms=10):

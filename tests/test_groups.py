@@ -237,6 +237,21 @@ def test_table_group_quotient(quaternion):
     assert coset_of[0] == 0
 
 
+def test_quotient_needs_a_normal_subgroup(s3_perm):
+    # S3 by <(1 2 3)> is Z/2; the cosets of <(1 2)> are not a group
+    tg = s3_perm.table_group()
+    rotation = next(x for x in range(6) if tg.element_order(x) == 3)
+    swap = next(x for x in range(6) if tg.element_order(x) == 2)
+    quotient, coset_of = tg.quotient(tg.subgroup_closure([rotation]))
+    assert quotient.table == ((0, 1), (1, 0))
+    assert [coset_of[x] for x in (tg.identity, rotation, swap)] == [0, 0, 1]
+    with pytest.raises(InvForgeError, match="subgroup is not normal"):
+        tg.quotient(tg.subgroup_closure([swap]))
+    # {0, 1} in Z/4 has disjoint translates {0, 1} and {2, 3}
+    with pytest.raises(InvForgeError, match="not a subgroup"):
+        TableGroup.cyclic(4).quotient([0, 1])
+
+
 def test_table_group_cyclic():
     t = TableGroup.cyclic(6)
     assert t.element_order(1) == 6
@@ -246,12 +261,16 @@ def test_table_group_cyclic():
 
 def test_table_without_inverses_refused():
     # 0 is an identity, but 1 * 1 = 1: the powers of 1 never reach 0, as an
-    # action file's gamma_table may say.  The walk must stop, not loop.
-    t = TableGroup([[0, 1], [1, 1]])
-    with pytest.raises(InvForgeError):
-        t.element_order(1)
-    with pytest.raises(InvForgeError):
-        t.inverse(1)
+    # action file's gamma_table may say.  The walk must stop, not loop.  In
+    # the second table every row is a permutation, but x -> x * 1 sends 0
+    # and 2 to 1: the powers 1, 2, 1, ... cycle without the identity.
+    for table in ([[0, 1], [1, 1]], [[0, 1, 2], [1, 2, 0], [2, 1, 0]]):
+        t = TableGroup(table)
+        with pytest.raises(InvForgeError, match="not a group"):
+            t.element_order(1)
+        with pytest.raises(InvForgeError, match="not a group"):
+            t.inverse(1)
+    assert TableGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]]).element_order(2) == 2
 
 
 # -- multiplication on the closure's Cayley graph ---------------------------
@@ -375,3 +394,33 @@ def test_conjugacy_classes_partition(quaternion, s3_perm):
             for gi in g.generator_indices:
                 assert {g.mult(g.mult(gi, x), g.inverse(gi)) for x in cls} == set(cls)
     assert [len(c) for c in quaternion.conjugacy_classes()] == [1, 2, 2, 1, 2]
+
+
+def _corpus_groups_but_2i2i2():
+    return [(fname, corpus.load_corpus_group(fname))
+            for fname in sorted(os.listdir(corpus.DATA_DIR))
+            if fname.endswith(".group") and fname != "2i2i2.group"]
+
+
+def test_conjugacy_classes_match_matrix_conjugation():
+    for fname, g in _corpus_groups_but_2i2i2():
+        inverses = [m.inverse() for m in g.elements]
+        classes, seen = [], set()
+        for x, m in enumerate(g.elements):
+            if x not in seen:
+                cls = {g.index_of(h * m * hinv)
+                       for h, hinv in zip(g.elements, inverses)}
+                seen |= cls
+                classes.append(tuple(sorted(cls)))
+        assert g.conjugacy_classes() == tuple(classes), fname
+
+
+def test_orders_and_inverses_match_matrix_powers():
+    for fname, g in _corpus_groups_but_2i2i2():
+        one = g.elements[g.identity].key()
+        for x, m in enumerate(g.elements):
+            order, prev, power = 1, g.elements[g.identity], m
+            while power.key() != one:
+                order, prev, power = order + 1, power, power * m
+            assert g.element_order(x) == order, (fname, x)
+            assert g.inverse(x) == g.index_of(prev), (fname, x)

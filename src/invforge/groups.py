@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 
 from .errors import (BoundExceededError, CertificateError, InvForgeError,
-                     LinalgError, ModularityError)
+                     LinalgError, ModularityError, check_enumeration_bound)
 from .fields import parse_element, parse_field_spec
 from .linalg import Matrix, commutant_basis, is_split_diagonalizable
 from . import tables
@@ -108,6 +108,7 @@ class FiniteMatrixGroup(tables.IndexedGroup):
         i * j = (i * p) * gens[k] = right[row[p]][k], and p < j.
         """
         if self._table is None:
+            check_enumeration_bound(self.order ** 2, "multiplication table entry")
             right, edges = self._right, self._parent[1:]
             rows = []
             for i in range(self.order):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvForgeError, ModularityError
+from .errors import InvForgeError, ModularityError, check_enumeration_bound
 from .groups import FiniteMatrixGroup, reflection_subgroup
 from .fields import FieldElement, _berkowitz
 from .linalg import EchelonBasis, Matrix, combine_rows, kernel
@@ -111,7 +111,7 @@ def invariant_space(group: FiniteMatrixGroup, d):
         spec, basis, [_monomial_images(group, g, basis)
                       for g, m in zip(gens, monomial) if m])
     for g, m in zip(gens, monomial):
-        if not m and vectors:
+        if not m:
             vectors = _kernel_cut(group, basis, vectors, g)
     out = []
     for v in vectors:
@@ -206,8 +206,10 @@ def _kernel_cut(group, basis, rows, g):
     full-rank rref basis is the identity (the first cut's input when no
     generator is monomial, as on m7): then the moved images are those
     columns and the kernel basis is the cut, with no combine_rows on
-    either side.
+    either side.  No rows cut to no rows.
     """
+    if not rows:
+        return []
     spec = group.spec
     zero, one = spec.zero(), spec.one()
     index = {e: i for i, e in enumerate(basis)}
@@ -346,8 +348,9 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
     """Degree-by-degree minimal generators of the invariant ring.
 
     d_max defaults to |G| (valid bound whenever char does not divide |G|);
-    the modular case requires an explicit bound.  In characteristic 0 the
-    Molien series prunes degrees that products of earlier generators
+    the modular case requires an explicit bound, and so does a group whose
+    degree-|G| monomials exceed the enumeration bound.  In characteristic 0
+    the Molien series prunes degrees that products of earlier generators
     already fill.
     """
     p = group.spec.characteristic()
@@ -357,6 +360,9 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             raise ModularityError(
                 "modular case: pass an explicit degree bound d_max")
         d_max = group.order
+        check_enumeration_bound(
+            math.comb(d_max + group.n - 1, group.n - 1),
+            f"degree-{d_max} monomial (the default bound |G|; pass --max-degree)")
     check_degree_bound(d_max)
     mol = None
     if p == 0:

@@ -579,6 +579,41 @@ def test_integral_inverse_matches_euclid(text):
         spec._integral_inverse((0,) * m)
 
 
+@pytest.mark.parametrize("text", EUCLID_FIELDS)
+def test_number_field_integer_rows_match_scalar_ops(text):
+    # the degree >= 3 integer-row product and elimination step against
+    # FieldElement * and - (and the product against the Fraction oracle),
+    # on zero, rational, one-term c*z'^k and dense scalars and entries
+    spec = parse_field_spec(text)
+    m, oracle = spec.degree, _FractionTuples(spec)
+    rng = random.Random(text)
+
+    def operand():
+        kind, t = rng.randrange(4), [0] * m
+        if kind == 0:
+            t = [rng.randint(-50, 50) for _ in range(m)]
+        elif kind > 1:
+            t[0 if kind == 2 else rng.randrange(1, m)] = rng.randint(-10 ** 6, 10 ** 6)
+        return tuple(t)
+
+    def element(t):
+        assert type(t) is tuple and len(t) == m
+        return FieldElement(spec, spec._reps_of_int_row([t], 1)[0])
+
+    for _ in range(300):
+        A, F, D = operand(), operand(), rng.choice((1, 1, 2, 6))
+        row = [operand() for _ in range(rng.randrange(6))]
+        piv = [operand() for _ in row]
+        got = [element(x) for x in spec._row_scale(A, row)]
+        assert got == [element(A) * element(b) for b in row]
+        assert [_coefficients(x) for x in got] == [
+            oracle.mul(_coefficients(element(A)), _coefficients(element(b)))
+            for b in row]
+        got = [element(x) for x in spec._row_combine(D, row, F, piv)]
+        assert got == [spec.from_int(D) * element(a) - element(F) * element(b)
+                       for a, b in zip(row, piv)]
+
+
 @pytest.mark.parametrize("text", ["finite(2, z^3 + z + 1)", "finite(3, z^2 + 1)",
                                   "finite(5, z^3 + 3*z + 3)"])
 def test_finite_field_inverse_is_power(text):

@@ -259,6 +259,20 @@ def test_table_group_cyclic():
     assert len(t.center()) == 6
 
 
+def test_table_group_refused_past_the_enumeration_bound():
+    # a cyclic group of order 1001 = 7 * 11 * 13 in GL_1(F_2003) has
+    # 1001^2 > 10^6 table entries; its closure and Cayley graph stay usable
+    F = FieldSpec.finite_field(2003)
+    a = next(x for x in range(2, 2003) if pow(x, 1001, 2003) == 1
+             and all(pow(x, 1001 // q, 2003) != 1 for q in (7, 11, 13)))
+    g = close_group([Matrix.from_rows(F, [[a]])])
+    assert g.order == 1001
+    with pytest.raises(BoundExceededError, match="multiplication table entry"):
+        g.table_group()
+    x, y = g.generator_indices[0], 1000
+    assert g.mult(x, y) == g.index_of(g.elements[x] * g.elements[y])
+
+
 def test_table_without_inverses_refused():
     # 0 is an identity, but 1 * 1 = 1: the powers of 1 never reach 0, as an
     # action file's gamma_table may say.  The walk must stop, not loop.  In

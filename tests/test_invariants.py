@@ -1,13 +1,15 @@
 import itertools
+import math
 import os
 import random
 
 import pytest
 
-from invforge.errors import ModularityError
+from invforge.errors import BoundExceededError, ModularityError
 from invforge.fields import FieldSpec
 from invforge.groups import close_group
-from invforge.invariants import (Relation, _monomial_images, apply_matrix,
+from invforge.invariants import (Relation, _kernel_cut, _monomial_images,
+                                 _orbit_fixed_vectors, apply_matrix,
                                  check_presented_automorphism,
                                  cst_quotient_action, find_relation,
                                  hilbert_dims, invariant_space, is_invariant,
@@ -15,7 +17,7 @@ from invforge.invariants import (Relation, _monomial_images, apply_matrix,
                                  reynolds, scaled_torus_exponents)
 from invforge.linalg import EchelonBasis, Matrix
 from invforge.poly import Polynomial, _poly_of_int_terms, parse_polynomial
-from invforge import corpus, groups, invariants
+from invforge import corpus, fields, groups, invariants
 
 Q = FieldSpec.rationals()
 
@@ -46,7 +48,6 @@ def test_monomial_fast_path_matches_dense_kernel(icosahedral):
     # orbit transport (plus kernel cuts for e8's non-monomial generator)
     # must agree with the kernel step folded over every generator from the
     # identity basis
-    from invforge.invariants import _kernel_cut, _orbit_fixed_vectors
     cases = [(corpus.load_corpus_group(name), (1, 2, 3, 4))
              for name in ("an-split.group", "mu2sq.group", "a4perm.group",
                           "po3diag.group", "q8.group", "mixed.group",
@@ -58,13 +59,29 @@ def test_monomial_fast_path_matches_dense_kernel(icosahedral):
             fast = invariant_space(g, d)
             dense = _orbit_fixed_vectors(g.spec, basis, [])
             for m in g.generators():
-                if dense:  # as in invariant_space: nothing left to cut
-                    dense = _kernel_cut(g, basis, dense, m)
+                dense = _kernel_cut(g, basis, dense, m)
             as_polys = lambda polys: sorted(p.render() for p in polys)
             assert as_polys(fast) == as_polys(
                 Polynomial(g.spec, g.n,
                            {e: c for e, c in zip(basis, v) if not c.is_zero()})
                 for v in dense), (g.name, d)
+
+
+def test_kernel_cut_of_no_rows_is_no_rows(quaternion):
+    # q8 fixes no linear form, and its first generator already cuts the
+    # identity basis to nothing, so the fold's second cut gets no rows
+    basis = monomials(quaternion.n, 1)
+    gens = quaternion.generators()
+    assert _kernel_cut(quaternion, basis, [], gens[0]) == []
+    zero, one = quaternion.spec.zero(), quaternion.spec.one()
+    rows = [[one if i == j else zero for j in range(len(basis))]
+            for i in range(len(basis))]
+    cuts = []
+    for g in gens:
+        rows = _kernel_cut(quaternion, basis, rows, g)
+        cuts.append(len(rows))
+    assert cuts == [0] * len(gens)
+    assert invariant_space(quaternion, 1) == []
 
 
 def test_hilbert_dims_m7_eliminates_only_in_kernels(monkeypatch):
@@ -99,6 +116,36 @@ def test_hilbert_dims_m7_combines_on_the_free_columns_only(monkeypatch):
     monkeypatch.setattr(kind, "_row_combine", counted)
     assert hilbert_dims(g, 12).dims == (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
     assert entries[0] < 150_000
+
+
+def test_minimal_generators_e8_multiplies_only_dense_scalars(monkeypatch):
+    # zero entries and rational scalars in the integer rows never reach the
+    # schoolbook product (28,939 calls when every pair paid for it); its own
+    # e8, so that no earlier test's cached images or series decide the count
+    icosahedral = groups.load_group_file(
+        os.path.join(corpus.DATA_DIR, "e8.group"))
+    calls = [0]
+    original = fields._reduced_product
+
+    def counted(a, b, field):
+        calls[0] += 1
+        return original(a, b, field)
+
+    monkeypatch.setattr(fields, "_reduced_product", counted)
+    assert minimal_generators(icosahedral).degrees == [12, 20, 30]
+    assert calls[0] < 10_000
+
+
+def test_default_degree_bound_refused_past_the_enumeration_bound():
+    # diag(64, 1, 1, 1) has order 181 in GL_4(F_1087) (64 = 2^6, 2^1086 = 1
+    # and 181 is prime): degree 181 has C(184, 3) > 10^6 monomials
+    F = FieldSpec.finite_field(1087)
+    g = close_group([Matrix.from_rows(F, [[64, 0, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 1, 0], [0, 0, 0, 1]])])
+    assert g.order == 181 and math.comb(184, 3) > 10 ** 6
+    with pytest.raises(BoundExceededError, match="--max-degree"):
+        minimal_generators(g)
+    assert minimal_generators(g, d_max=2).degrees == [1, 1, 1]
 
 
 def test_invariant_space_maps_only_the_running_support(monkeypatch):

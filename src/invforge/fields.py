@@ -51,24 +51,18 @@ def _power(x, e, mul):
         x = mul(x, x)
 
 
-def _reduced_product(a, b, field):
-    """a * b for coefficient sequences of length m = field.degree, reduced from
-    the top down with z^m = sum t_i z^i over the nonzero taps (i, t_i) of
-    field._taps (coefficients not put in normal form).
-
-    Only nonzero pairs of entries are multiplied, and a zero operand
-    returns zero at once.
-    """
-    m = field.degree
-    if not any(a) or not any(b):
-        return [0] * m
+def _reduced_product(a, b, tail):
+    """a * b for coefficient sequences of length m = len(tail), reduced from
+    the top down with z^m = sum tail[i] z^i (coefficients not put in normal
+    form).  Only nonzero pairs of entries are multiplied."""
+    m = len(tail)
     prod = [0] * (2 * m - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    taps = field._taps
+    taps = [(i, t) for i, t in enumerate(tail) if t]
     for k in range(2 * m - 2, m - 1, -1):
         c = prod[k]
         if c:
@@ -220,10 +214,11 @@ class FieldSpec:
     own name and no generator).  Each works on raw representatives: `_add`,
     `_sub`, `_neg`, `_mul`, `_is_zero`, `_inv` and the constant constructor
     `_const`.  An element is a polynomial in z of degree < deg modulus, and
-    each kind keeps one fact about its modulus, its integral tail `_tail`
-    (with its nonzero taps `_taps`), which `_reduced_product` and
-    `_scaled_inverse` read.  `_reduced_product` multiplies only nonzero
-    pairs of entries and returns zero at once for a zero operand.
+    each kind keeps one fact about its modulus, its integral tail `_tail`,
+    which `_reduced_product` and `_scaled_inverse` read.  `_reduced_product`
+    multiplies only nonzero pairs of entries; above degree 2 the
+    number-field row primitives keep zero entries and rational scalars
+    away from it.
 
     Each kernel also gives the integer-row primitives behind
     `linalg.EchelonBasis`, `linalg.combine_rows` (so `Matrix.__mul__`) and
@@ -244,18 +239,15 @@ class FieldSpec:
     - `_reps_of_int_row(row, d)`: the representatives of row / d.
     """
 
-    __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_hash", "_tail",
-                 "_taps")
+    __slots__ = ("p", "modulus", "cyclotomic_n", "degree", "_hash", "_tail")
     kind = None
 
-    def __init__(self, modulus, tail, p=None, cyclotomic_n=None):
+    def __init__(self, modulus, p=None, cyclotomic_n=None):
         self.p = p
         self.modulus = tuple(modulus)
         self.cyclotomic_n = cyclotomic_n
         self.degree = len(self.modulus) - 1
         self._hash = hash((self.kind, p, self.modulus, cyclotomic_n))
-        self._tail = tuple(tail)
-        self._taps = tuple((i, t) for i, t in enumerate(self._tail) if t)
 
     # -- constructors ------------------------------------------------------
 
@@ -380,21 +372,21 @@ class FieldSpec:
         x^(m-1) + .. + c_m kills a, so a * -(a^(m-1) + .. + c_(m-1)) = c_m.
         A rational a uses x - a0 instead, and m = 2 the closed form Tr a - a.
         """
-        m = self.degree
+        m, tail = self.degree, self._tail
         if not any(a[1:]):
             return (1,) + (0,) * (m - 1), a[0]
         if m == 2:
             # z^2 = t0 + t1 z: N = a0^2 + t1 a0 a1 - t0 a1^2
-            (t0, t1), (a0, a1) = self._tail, a
+            (t0, t1), (a0, a1) = tail, a
             return (a0 + t1 * a1, -a1), a0 * a0 + t1 * a0 * a1 - t0 * a1 * a1
         z, cols = (0, 1) + (0,) * (m - 2), [list(a)]  # the columns a * z^k
         for _ in range(m - 1):
-            cols.append(_reduced_product(cols[-1], z, self))
+            cols.append(_reduced_product(cols[-1], z, tail))
         charpoly = _berkowitz(list(zip(*cols)), 0, 1)
         acc = list(a)  # Horner: a^(m-1) + c_1 a^(m-2) + .. + c_(m-1)
         acc[0] += charpoly[1]
         for c in charpoly[2:m]:
-            acc = _reduced_product(acc, a, self)
+            acc = _reduced_product(acc, a, tail)
             acc[0] += c
         return tuple(-x for x in acc), charpoly[m]
 
@@ -417,7 +409,8 @@ class FiniteField(FieldSpec):
     _from_coefficients = staticmethod(tuple)
 
     def __init__(self, p, modulus):
-        super().__init__(modulus, [-c % p for c in modulus[:-1]], p=p)
+        super().__init__(modulus, p=p)
+        self._tail = tuple(self._red(-c) for c in self.modulus[:self.degree])
 
     def describe(self):
         if self.degree == 1:
@@ -436,6 +429,9 @@ class FiniteField(FieldSpec):
         check_enumeration_bound(self.size(), "field element")
         return [FieldElement(self, r)
                 for r in itertools.product(range(self.p), repeat=self.degree)]
+
+    def _red(self, c):
+        return c % self.p
 
     def _cinv(self, c):
         return pow(c, self.p - 2, self.p)
@@ -476,7 +472,7 @@ class FiniteField(FieldSpec):
         p = self.p
         if self.degree == 1:
             return ((a[0] * b[0]) % p,)
-        return tuple(c % p for c in _reduced_product(a, b, self))
+        return tuple(c % p for c in _reduced_product(a, b, self._tail))
 
     def _inv(self, a):
         A, N = self._scaled_inverse(a)
@@ -537,12 +533,12 @@ class NumberField(FieldSpec):
     _render_coeff = staticmethod(_signed_fraction)
 
     def __init__(self, modulus, cyclotomic_n=None):
-        deg = len(modulus) - 1
-        s = math.lcm(*(c.denominator for c in modulus))
-        super().__init__(modulus, [int(-c * s ** (deg - k))
-                                   for k, c in enumerate(modulus[:deg])],
-                         cyclotomic_n=cyclotomic_n)
+        super().__init__(modulus, cyclotomic_n=cyclotomic_n)
+        deg = self.degree
+        s = math.lcm(*(c.denominator for c in self.modulus))
         self._scale_powers = tuple(s ** k for k in range(deg))
+        self._tail = tuple(int(-c * s ** (deg - k))
+                           for k, c in enumerate(self.modulus[:deg]))
         self._conjugation = None
 
     def describe(self):
@@ -645,7 +641,8 @@ class NumberField(FieldSpec):
             # a rational A multiplies like the integer a0 (its matrix is a0 I)
             a0 = A[0]
             return [tuple([a0 * x for x in b]) for b in row]
-        return [tuple(_reduced_product(A, b, self)) if any(b) else b
+        tail = self._tail
+        return [tuple(_reduced_product(A, b, tail)) if any(b) else b
                 for b in row]
 
     def _row_combine(self, D, row, F, piv):
@@ -663,10 +660,10 @@ class NumberField(FieldSpec):
             f0 = F[0]
             return [tuple([D * x - f0 * y for x, y in zip(a, b)])
                     for a, b in zip(row, piv)]
-        out = []
+        tail, out = self._tail, []
         for a, b in zip(row, piv):
             if any(b):
-                a = tuple([D * x - y for x, y in zip(a, _reduced_product(F, b, self))])
+                a = tuple([D * x - y for x, y in zip(a, _reduced_product(F, b, tail))])
             elif D != 1:
                 a = tuple([D * x for x in a])
             out.append(a)

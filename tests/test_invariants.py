@@ -127,9 +127,9 @@ def test_minimal_generators_e8_multiplies_only_dense_scalars(monkeypatch):
     calls = [0]
     original = fields._reduced_product
 
-    def counted(a, b, field):
+    def counted(a, b, tail):
         calls[0] += 1
-        return original(a, b, field)
+        return original(a, b, tail)
 
     monkeypatch.setattr(fields, "_reduced_product", counted)
     assert minimal_generators(icosahedral).degrees == [12, 20, 30]

@@ -516,26 +516,34 @@ def test_reduced_product_matches_long_division(text):
     spec = parse_field_spec(text)
     tail, m = spec._tail, spec.degree
     rng = random.Random(text)
+    for height in (1, 10 ** 3, 10 ** 15) * 30:
+        a, b = ([0 if rng.random() < 0.3 else rng.randint(-height, height)
+                 for _ in range(m)] for _ in range(2))
+        assert _reduced_product(a, b, tail) == _long_division_product(a, b, tail)
 
-    def random_operand(height):
-        # dense with some zeros, zero, rational (a0 only), or one term c z^k
-        kind = rng.randrange(4)
+    def operand(kind, height):
+        # zero, rational (a0 only), one term c z^k, or dense with some zeros
         out = [0] * m
-        if kind == 0:
+        if kind == "rational":
+            out[0] = rng.randint(-height, height)
+        elif kind == "one term":
+            out[rng.randrange(m)] = rng.randint(-height, height)
+        elif kind == "dense":
             out = [0 if rng.random() < 0.3 else rng.randint(-height, height)
                    for _ in range(m)]
-        elif kind > 1:
-            out[0 if kind == 2 else rng.randrange(m)] = rng.randint(-height, height)
         return out
 
-    for height in (1, 10 ** 3, 10 ** 15) * 60:
-        a, b = random_operand(height), random_operand(height)
-        assert _reduced_product(a, b, spec) == _long_division_product(a, b, tail)
+    kinds = ("zero", "rational", "one term", "dense")
+    for height in (1, 10 ** 3, 10 ** 15) * 5:
+        for first in kinds:
+            for second in kinds:
+                a, b = operand(first, height), operand(second, height)
+                assert _reduced_product(a, b, tail) == _long_division_product(a, b, tail)
     for k in range(m):
         for j in range(m):
             a, b = [0] * m, [0] * m
             a[k], b[j] = 1, -3
-            assert _reduced_product(a, b, spec) == _long_division_product(a, b, tail)
+            assert _reduced_product(a, b, tail) == _long_division_product(a, b, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ class FiniteMatrixGroup(tables.IndexedGroup):
     """
 
     __slots__ = ("spec", "n", "elements", "generator_indices", "name",
-                 "_index", "_right", "_parent", "_inv", "_orders", "_table",
-                 "_cache")
+                 "_index", "_right", "_parent", "_inv", "_orders", "_classes",
+                 "_table", "_cache")
     identity = 0
 
     def __init__(self, spec, n, elements, generator_indices, right, parent,
@@ -43,6 +43,7 @@ class FiniteMatrixGroup(tables.IndexedGroup):
         self._parent = parent
         self._inv = [None] * len(self.elements)
         self._orders = [None] * len(self.elements)
+        self._classes = None
         self._table = None
         self._cache = {}
 
@@ -88,6 +89,9 @@ class FiniteMatrixGroup(tables.IndexedGroup):
             raise InvForgeError("matrix is not an element of the group")
         return self._index[key]
 
+    def generating_set(self):
+        return self.generator_indices
+
     def mult(self, i, j):
         """Index of elements[i] * elements[j]: j's breadth-first word from i."""
         if self._table is not None:
@@ -127,10 +131,6 @@ class FiniteMatrixGroup(tables.IndexedGroup):
     def scalar_indices(self):
         return [i for i in range(self.order) if self.elements[i].is_scalar()]
 
-    def conjugacy_classes(self):
-        """Classes as sorted index tuples (see TableGroup.conjugacy_classes)."""
-        return self.table_group().conjugacy_classes()
-
     def subgroup(self, indices, name=None):
         """Subgroup generated by `indices`, elements in the order `close`
         gives for the same generator matrices, found without matrix products."""
@@ -149,15 +149,11 @@ def close_group(gens, cap=DEFAULT_CLOSURE_CAP, name=None):
 
 
 def pseudo_reflections(g: FiniteMatrixGroup):
-    """Indices of elements (not 1) fixing a hyperplane pointwise: rank(m-I) = 1."""
+    """Ascending indices of the elements with rank(m - I) = 1, tested once
+    per conjugacy class (at its least member): rank(h m h^-1 - I) = rank(m - I)."""
     ident = Matrix.identity(g.spec, g.n)
-    out = []
-    for i, m in enumerate(g.elements):
-        if i == g.identity:
-            continue
-        if (m - ident).rank() == 1:
-            out.append(i)
-    return out
+    return sorted(x for cls in g.conjugacy_classes()
+                  if (g.elements[cls[0]] - ident).rank() == 1 for x in cls)
 
 
 def reflection_subgroup(g: FiniteMatrixGroup):
@@ -259,13 +255,15 @@ def character_inner_product(g: FiniteMatrixGroup, chi, psi):
     """<chi, psi> = (1/|G|) sum chi(x) conj(psi(x)), char 0 only.
 
     psi is a character, so conj(psi(x)) = psi(x^{-1}): this holds over every
-    field of characteristic 0, with or without a complex conjugation.
+    field of characteristic 0, with or without a complex conjugation.  The
+    sum runs once per conjugacy class C, as |C| chi(x_C) psi(x_C^{-1}).
     """
     if g.spec.characteristic() != 0:
         raise ModularityError("character inner product needs characteristic 0")
     total = g.spec.zero()
-    for i in range(g.order):
-        total = total + chi[i] * psi[g.inverse(i)]
+    for cls in g.conjugacy_classes():
+        x = cls[0]  # least member
+        total = total + g.spec.from_int(len(cls)) * chi[x] * psi[g.inverse(x)]
     return total / g.spec.from_int(g.order)
 
 

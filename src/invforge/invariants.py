@@ -255,8 +255,9 @@ def hilbert_dims(group: FiniteMatrixGroup, d_max) -> GradedDims:
 def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
     """Coefficients of (1/|G|) sum_g 1/det(1 - t g) up to degree d_max.
 
-    Elements are bucketed by characteristic polynomial; each bucket's series
-    inverse is a linear recurrence of length n.  The series to the largest
+    Conjugacy classes (one Berkowitz call each) are bucketed by characteristic
+    polynomial with their sizes; each bucket's series inverse is a linear
+    recurrence of length n.  The series to the largest
     degree asked is kept in group._cache; a smaller d_max is its truncation.
     """
     check_degree_bound(d_max)
@@ -268,14 +269,14 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
     spec, n = group.spec, group.n
     zero, one = spec.zero(), spec.one()
     buckets = {}
-    for m in group.elements:
+    for cls in group.conjugacy_classes():
         # det(1 - t g) = sum_k c_k t^k for char poly x^n + c_1 x^{n-1} + ...
-        den = _berkowitz(m.entries, zero, one)
+        den = _berkowitz(group.elements[cls[0]].entries, zero, one)
         key = tuple(c.rep for c in den)
         if key in buckets:
-            buckets[key][1] += 1
+            buckets[key][1] += len(cls)
         else:
-            buckets[key] = [den, 1]
+            buckets[key] = [den, len(cls)]
     totals = [zero] * (d_max + 1)
     for den, count in buckets.values():
         inv = [one]

@@ -28,14 +28,15 @@ def intertwiner(group: FiniteMatrixGroup, phi: GroupAutomorphism):
     """Invertible T with T g T^(-1) = phi(g) on generators, or None.
 
     Conjugation preserves traces in every characteristic, so a class with
-    tr rho(g) != tr rho(phi g) for some g is refused before any solve.
+    tr rho(g) != tr rho(phi g) for some g (one per conjugacy class: phi maps
+    classes to classes) is refused before any solve.
     Otherwise the linear system T rho(g) = rho(phi g) T is solved over the
     declared field and an invertible element of the solution space is
     searched among its basis, then on a small deterministic grid of basis
     combinations.
     """
     chi = natural_character(group)
-    if any(chi[i] != chi[phi(i)] for i in range(group.order)):
+    if any(chi[cls[0]] != chi[phi(cls[0])] for cls in group.conjugacy_classes()):
         return None
     gens = group.generator_indices
     basis = intertwiner_space([group.elements[gi] for gi in gens],

@@ -1,16 +1,17 @@
 """Abstract finite groups as multiplication tables.
 
-This is the engine shared by matrix groups (via their index tables),
-scalar quotients, and cohomology coefficient groups: element orders,
-conjugacy classes, subgroup closure, automorphism enumeration and
-elementary abelian rank all live here.
+This is the engine shared by matrix groups (via their indices), scalar
+quotients, and cohomology coefficient groups: element orders, conjugacy
+classes, subgroup closure, automorphism enumeration and elementary abelian
+rank all live here.
 
 It also owns the one breadth-first walk over generators: `cayley_closure`
 closes a set under right multiplication and records the Cayley graph, and
 `extend_map` defines a map on the walk's orbit along that graph's edges.
 Matrix group closure, subgroups, automorphisms, cocycles and actions all
 use them, and so do orbits and powers: an element's order and inverse (the
-walk of its powers), the order of an F_q^* element, and the monomial orbits
+walk of its powers), a conjugacy class (the orbit of x under conjugation by
+the generators), the order of an F_q^* element, and the monomial orbits
 whose invariants `invariants._orbit_fixed_vectors` transports.
 """
 
@@ -73,8 +74,8 @@ def extend_map(closure, size, start, step):
 
 class IndexedGroup:
     """Group queries that need only `mult(a, b)` on element indices and the
-    identity index `identity`.  Subclasses provide both, plus the caches
-    `_inv` and `_orders`: one None per element."""
+    identity index `identity`.  Subclasses provide both, `generating_set()`
+    and the caches `_inv`, `_orders` (one None per element) and `_classes`."""
 
     __slots__ = ()
 
@@ -103,6 +104,27 @@ class IndexedGroup:
 
     def subgroup_closure(self, gens):
         return frozenset(self.cayley(gens)[0])
+
+    def conjugacy_classes(self):
+        """Classes as sorted tuples, ordered by least member.
+
+        The generators s generate G, so the class of x is its orbit under
+        y -> s^-1 y s: one `cayley_closure` per class, on `mult` alone.
+        """
+        if self._classes is None:
+            n, classes, seen = len(self._orders), [], set()
+            pairs = [(s, self.inverse(s)) for s in self.generating_set()]
+
+            def conjugate(y, pair):  # s^-1 y s for pair = (s, s^-1)
+                return self.mult(self.mult(pair[1], y), pair[0])
+
+            for x in range(n):
+                if x not in seen:
+                    orbit = cayley_closure(x, pairs, conjugate, int, n)[0]
+                    seen.update(orbit)
+                    classes.append(tuple(sorted(orbit)))
+            self._classes = tuple(classes)
+        return self._classes
 
 
 class TableGroup(IndexedGroup):
@@ -133,27 +155,6 @@ class TableGroup(IndexedGroup):
 
     def mult(self, a, b):
         return self.table[a][b]
-
-    def is_abelian(self):
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(self.n) for b in range(a))
-
-    def center(self):
-        return [a for a in range(self.n)
-                if all(self.table[a][b] == self.table[b][a] for b in range(self.n))]
-
-    def conjugacy_classes(self):
-        """Classes as sorted tuples: the class of x is {g x g^-1 : g in G}."""
-        if self._classes is None:
-            classes, seen = [], set()
-            for x in range(self.n):
-                if x not in seen:
-                    cls = {self.mult(self.mult(g, x), self.inverse(g))
-                           for g in range(self.n)}
-                    seen |= cls
-                    classes.append(tuple(sorted(cls)))
-            self._classes = tuple(classes)
-        return self._classes
 
     def generating_set(self):
         """Small generating set, greedy by subgroup growth (largest order first)."""
@@ -216,10 +217,7 @@ def automorphisms(tg: TableGroup, bound=400):
         raise BoundExceededError(
             f"automorphism search bound {bound} exceeded (|G| = {tg.n})")
     gens = sorted(tg.generating_set(), key=lambda a: (tg.element_order(a), a))
-    class_size = {}
-    for cls in tg.conjugacy_classes():
-        for x in cls:
-            class_size[x] = len(cls)
+    class_size = {x: len(cls) for cls in tg.conjugacy_classes() for x in cls}
     candidates = []
     for g in gens:
         og, cg = tg.element_order(g), class_size[g]

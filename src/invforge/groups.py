@@ -23,12 +23,13 @@ class FiniteMatrixGroup(tables.IndexedGroup):
     """Closed set of invertible matrices with indexed multiplication.
 
     Products are read off the closure's Cayley graph (`tables.cayley_closure`),
-    never recomputed from matrices.  The identity is element 0.
+    or off the |G|^2 table once `table_group()` has filled it, never
+    recomputed from matrices.  The identity is element 0.
     """
 
     __slots__ = ("spec", "n", "elements", "generator_indices", "name",
                  "_index", "_right", "_parent", "_inv", "_orders", "_classes",
-                 "_table", "_cache")
+                 "_greedy", "_table", "_cache")
     identity = 0
 
     def __init__(self, spec, n, elements, generator_indices, right, parent,
@@ -43,8 +44,7 @@ class FiniteMatrixGroup(tables.IndexedGroup):
         self._parent = parent
         self._inv = [None] * len(self.elements)
         self._orders = [None] * len(self.elements)
-        self._classes = None
-        self._table = None
+        self._classes = self._greedy = self._table = None
         self._cache = {}
 
     # -- construction ----------------------------------------------------
@@ -69,13 +69,6 @@ class FiniteMatrixGroup(tables.IndexedGroup):
 
     # -- basics ------------------------------------------------------------
 
-    @property
-    def order(self):
-        return len(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
     def __repr__(self):
         nm = self.name or "group"
         return f"<{nm}: order {self.order} in GL_{self.n}({self.spec.describe()})>"
@@ -95,7 +88,7 @@ class FiniteMatrixGroup(tables.IndexedGroup):
     def mult(self, i, j):
         """Index of elements[i] * elements[j]: j's breadth-first word from i."""
         if self._table is not None:
-            return self._table.table[i][j]
+            return self._table[i][j]
         word = []
         while j:
             j, k = self._parent[j]
@@ -106,7 +99,8 @@ class FiniteMatrixGroup(tables.IndexedGroup):
         return i
 
     def table_group(self):
-        """Full multiplication table as a TableGroup (same element indexing).
+        """Fill the |G|^2 multiplication table that `mult` reads from then
+        on, and return the group itself.
 
         Row i follows the closure order: with parent[j] = (p, k),
         i * j = (i * p) * gens[k] = right[row[p]][k], and p < j.
@@ -120,8 +114,8 @@ class FiniteMatrixGroup(tables.IndexedGroup):
                 for p, k in edges:
                     row.append(right[row[p]][k])
                 rows.append(row)
-            self._table = tables.TableGroup(rows, name=self.name)
-        return self._table
+            self._table = rows
+        return self
 
     def center_indices(self):
         gens = self.generator_indices
@@ -179,7 +173,7 @@ def is_diagonalizable_over_k(g: FiniteMatrixGroup):
 
 def elementary_abelian_rank(g: FiniteMatrixGroup, ell):
     """Max r with (Z/ell)^r <= G; 0 if no element of order ell."""
-    return tables.elementary_abelian_rank(g.table_group(), ell)
+    return tables.elementary_abelian_rank(g.table_group(), ell, [g.identity])
 
 
 def automorphism_group(g: FiniteMatrixGroup, bound=DEFAULT_AUT_BOUND):
@@ -189,9 +183,8 @@ def automorphism_group(g: FiniteMatrixGroup, bound=DEFAULT_AUT_BOUND):
         if g.order > bound:
             raise BoundExceededError(
                 f"automorphism bound {bound} exceeded (|G| = {g.order})")
-        tg = g.table_group()
-        perms = tables.automorphisms(tg, bound=bound)
-        inner = tables.inner_automorphisms(tg)
+        perms = tables.automorphisms(g.table_group(), bound=bound)
+        inner = tables.inner_automorphisms(g)
         g._cache[key] = [GroupAutomorphism(p, p in inner) for p in perms]
     return g._cache[key]
 

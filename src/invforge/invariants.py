@@ -527,12 +527,8 @@ def cst_quotient_action(group: FiniteMatrixGroup) -> ReductionReport:
             "reflection subgroup invariants are not polynomial "
             f"(found {len(basics)} generators, degree product {prod}, |W| = {w.order})")
     # coset representatives of G/W inside G (minimal index per coset)
-    _, coset_of = group.table_group().quotient(
-        group.index_of(m) for m in w.elements)
-    reps = []
-    for x, c in enumerate(coset_of):
-        if c == len(reps):
-            reps.append(x)
+    least = group.coset_representatives([group.index_of(m) for m in w.elements])
+    reps = [x for x, r in enumerate(least) if r == x]
     action = []
     for rep in reps:
         mat_rows = [[spec.zero()] * n for _ in range(n)]

@@ -1,9 +1,9 @@
-"""Abstract finite groups as multiplication tables.
+"""Finite groups on element indices, answered from `mult(a, b)` alone.
 
-This is the engine shared by matrix groups (via their indices), scalar
-quotients, and cohomology coefficient groups: element orders, conjugacy
-classes, subgroup closure, automorphism enumeration and elementary abelian
-rank all live here.
+`IndexedGroup` is shared by matrix groups (their |G|^2 table only a cache
+behind `mult`) and multiplication tables (the cohomology Galois groups):
+element orders, conjugacy classes, cosets, subgroup closure, automorphism
+enumeration and the elementary abelian rank modulo a central subgroup.
 
 It also owns the one breadth-first walk over generators: `cayley_closure`
 closes a set under right multiplication and records the Cayley graph, and
@@ -17,7 +17,9 @@ whose invariants `invariants._orbit_fixed_vectors` transports.
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, ClosureCapError, InvForgeError
+from .errors import (BoundExceededError, ClosureCapError, InvForgeError,
+                     check_enumeration_bound)
+from .fields import _is_prime
 
 
 def cayley_closure(one, gens, times, key, cap):
@@ -73,11 +75,15 @@ def extend_map(closure, size, start, step):
 
 
 class IndexedGroup:
-    """Group queries that need only `mult(a, b)` on element indices and the
-    identity index `identity`.  Subclasses provide both, `generating_set()`
-    and the caches `_inv`, `_orders` (one None per element) and `_classes`."""
+    """Group queries from `mult(a, b)` on the indices 0..order-1 alone.
+    Subclasses provide it, the identity index `identity` and the caches
+    `_inv`, `_orders` (one None per element), `_classes` and `_greedy`."""
 
     __slots__ = ()
+
+    @property
+    def order(self):
+        return len(self._orders)
 
     def inverse(self, a):
         if self._inv[a] is None:
@@ -100,10 +106,44 @@ class IndexedGroup:
     def cayley(self, gens):
         """`cayley_closure` of the identity under gens, on element indices."""
         return cayley_closure(self.identity, list(gens), self.mult,
-                              int, len(self._orders))  # indices are keys
+                              int, self.order)  # indices are keys
 
     def subgroup_closure(self, gens):
         return frozenset(self.cayley(gens)[0])
+
+    def generating_set(self):
+        return self.greedy_generators()
+
+    def greedy_generators(self):
+        """Small generating set, greedy by subgroup growth (largest order
+        first), found once per group."""
+        if self._greedy is None:
+            order_index = sorted(range(self.order),
+                                 key=lambda a: (-self.element_order(a), a))
+            gens, span = [], frozenset({self.identity})
+            while len(span) < self.order:
+                best = None
+                for a in order_index:
+                    if a not in span:
+                        new_span = self.subgroup_closure(gens + [a])
+                        if best is None or len(new_span) > len(best[1]):
+                            best = (a, new_span)
+                            if len(new_span) == self.order:
+                                break
+                gens.append(best[0])
+                span = best[1]
+            self._greedy = tuple(gens)
+        return self._greedy
+
+    def coset_representatives(self, subgroup):
+        """rep[x] = the least member of x*H for H = `subgroup`, a list of
+        indices: the least x that no earlier coset holds starts a new one."""
+        rep = [None] * self.order
+        for x in range(self.order):
+            if rep[x] is None:
+                for h in subgroup:
+                    rep[self.mult(x, h)] = x
+        return rep
 
     def conjugacy_classes(self):
         """Classes as sorted tuples, ordered by least member.
@@ -112,7 +152,7 @@ class IndexedGroup:
         y -> s^-1 y s: one `cayley_closure` per class, on `mult` alone.
         """
         if self._classes is None:
-            n, classes, seen = len(self._orders), [], set()
+            n, classes, seen = self.order, [], set()
             pairs = [(s, self.inverse(s)) for s in self.generating_set()]
 
             def conjugate(y, pair):  # s^-1 y s for pair = (s, s^-1)
@@ -130,167 +170,142 @@ class IndexedGroup:
 class TableGroup(IndexedGroup):
     """Finite group on indices 0..n-1 given by a full multiplication table."""
 
-    __slots__ = ("n", "table", "identity", "_inv", "_orders", "_classes", "name")
+    __slots__ = ("table", "identity", "_inv", "_orders", "_classes", "_greedy")
 
-    def __init__(self, table, name=None):
+    def __init__(self, table):
         self.table = tuple(tuple(row) for row in table)
-        self.n = len(self.table)
-        self.name = name
-        ident = None
-        for e in range(self.n):
-            if all(self.table[e][x] == x == self.table[x][e] for x in range(self.n)):
-                ident = e
-                break
-        if ident is None:
+        n = len(self.table)
+        self.identity = next((e for e in range(n) if all(
+            self.table[e][x] == x == self.table[x][e] for x in range(n))), None)
+        if self.identity is None:
             raise InvForgeError("multiplication table has no identity")
-        self.identity = ident
-        self._inv = [None] * self.n
-        self._orders = [None] * self.n
-        self._classes = None
+        self._inv = [None] * n
+        self._orders = [None] * n
+        self._classes = self._greedy = None
 
     @staticmethod
-    def cyclic(n, name=None):
-        return TableGroup([[(i + j) % n for j in range(n)] for i in range(n)],
-                          name=name or f"Z/{n}")
+    def cyclic(n):
+        return TableGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
     def mult(self, a, b):
         return self.table[a][b]
-
-    def generating_set(self):
-        """Small generating set, greedy by subgroup growth (largest order first)."""
-        order_index = sorted(range(self.n),
-                             key=lambda a: (-self.element_order(a), a))
-        gens = []
-        span = frozenset({self.identity})
-        while len(span) < self.n:
-            best = None
-            for a in order_index:
-                if a in span:
-                    continue
-                new_span = self.subgroup_closure(gens + [a])
-                if best is None or len(new_span) > best[1]:
-                    best = (a, len(new_span), new_span)
-                    if len(new_span) == self.n:
-                        break
-            gens.append(best[0])
-            span = best[2]
-        return gens
-
-    def quotient(self, normal_indices):
-        """(quotient TableGroup, coset index per element) by a normal subgroup."""
-        normal = frozenset(normal_indices)
-        if self.identity not in normal:
-            raise InvForgeError("normal subgroup must contain the identity")
-        if any(self.mult(h, k) not in normal for h in normal for k in normal):
-            raise InvForgeError("not a subgroup: not closed under products")
-        if any(self.mult(self.mult(x, h), self.inverse(x)) not in normal
-               for x in range(self.n) for h in normal):
-            raise InvForgeError("subgroup is not normal")
-        coset_of = [None] * self.n
-        cosets = []
-        for x in range(self.n):
-            if coset_of[x] is None:  # a new coset xN; the cosets partition G
-                members = sorted(self.mult(x, h) for h in normal)
-                for y in members:
-                    coset_of[y] = len(cosets)
-                cosets.append(members)
-        m = len(cosets)
-        table = [[None] * m for _ in range(m)]
-        for i, ci in enumerate(cosets):
-            for j, cj in enumerate(cosets):
-                table[i][j] = coset_of[self.mult(ci[0], cj[0])]
-        return TableGroup(table), coset_of
 
 
 # ---------------------------------------------------------------------------
 # automorphisms by backtracking on generator images
 # ---------------------------------------------------------------------------
 
-def automorphisms(tg: TableGroup, bound=400):
+def automorphisms(group: IndexedGroup, bound=400):
     """All automorphisms as permutation tuples, sorted lexicographically.
 
-    Backtracking over images of a small generating set (ordered by ascending
-    element order), candidates filtered by element order and conjugacy class
-    size; each assignment is extended along the generators' Cayley graph.
+    Backtracking over images of the greedy generating set (ordered by
+    ascending element order), candidates filtered by element order and
+    conjugacy class size; each assignment is extended along the generators'
+    Cayley graph, reading each candidate x's column a -> a * x.
     """
-    if tg.n > bound:
+    n = group.order
+    if n > bound:
         raise BoundExceededError(
-            f"automorphism search bound {bound} exceeded (|G| = {tg.n})")
-    gens = sorted(tg.generating_set(), key=lambda a: (tg.element_order(a), a))
-    class_size = {x: len(cls) for cls in tg.conjugacy_classes() for x in cls}
+            f"automorphism search bound {bound} exceeded (|G| = {n})")
+    gens = sorted(group.greedy_generators(),
+                  key=lambda a: (group.element_order(a), a))
+    class_size = {x: len(cls) for cls in group.conjugacy_classes() for x in cls}
     candidates = []
     for g in gens:
-        og, cg = tg.element_order(g), class_size[g]
-        candidates.append([x for x in range(tg.n)
-                           if tg.element_order(x) == og and class_size[x] == cg])
-    closure = tg.cayley(gens)
-    table = tg.table
+        og, cg = group.element_order(g), class_size[g]
+        candidates.append([x for x in range(n)
+                           if group.element_order(x) == og and class_size[x] == cg])
+    column = {x: [group.mult(a, x) for a in range(n)]
+              for x in set().union(*candidates)}
+    closure = group.cayley(gens)
     found = []
 
-    def backtrack(i, images):
+    def backtrack(i, images):  # images[k]: the column of gens[k]'s image
         if i == len(gens):
-            perm = extend_map(closure, tg.n, tg.identity,
-                              lambda a, fa, k: table[fa][images[k]])
-            if perm is not None and len(set(perm)) == tg.n:
+            perm = extend_map(closure, n, group.identity,
+                              lambda a, fa, k: images[k][fa])
+            if perm is not None and len(set(perm)) == n:
                 found.append(tuple(perm))
             return
         for x in candidates[i]:
-            backtrack(i + 1, images + [x])
+            backtrack(i + 1, images + [column[x]])
 
     backtrack(0, [])
     return sorted(set(found))
 
 
-def inner_automorphisms(tg: TableGroup):
+def inner_automorphisms(group: IndexedGroup):
     """Conjugation permutations, as a set of tuples."""
-    inner = set()
-    for g in range(tg.n):
-        ginv = tg.inverse(g)
-        inner.add(tuple(tg.mult(tg.mult(g, x), ginv) for x in range(tg.n)))
+    n, inner = group.order, set()
+    for g in range(n):
+        ginv = group.inverse(g)
+        inner.add(tuple(group.mult(group.mult(g, x), ginv) for x in range(n)))
     return inner
 
 
-def is_automorphism(tg: TableGroup, perm):
-    if sorted(perm) != list(range(tg.n)):
+def is_automorphism(group: IndexedGroup, perm):
+    n = group.order
+    if sorted(perm) != list(range(n)):
         return False
-    return all(perm[tg.mult(a, b)] == tg.mult(perm[a], perm[b])
-               for a in range(tg.n) for b in range(tg.n))
+    return all(perm[group.mult(a, b)] == group.mult(perm[a], perm[b])
+               for a in range(n) for b in range(n))
 
 
 # ---------------------------------------------------------------------------
 # elementary abelian rank
 # ---------------------------------------------------------------------------
 
-def elementary_abelian_rank(tg: TableGroup, ell):
-    """Largest r with (Z/ell)^r embedded in the group.
+def elementary_abelian_rank(group: IndexedGroup, ell, center):
+    """Largest r with (Z/ell)^r embedded in G/Z, for Z = `center` a central
+    subgroup (a list of indices; the identity alone ranks G itself).
 
-    Searches index-increasing sequences of commuting order-ell elements,
-    tracking the generated subgroup so independence is certified by the
-    closure size ell^r.  Exponential worst case, fine at desk scale.
+    Works in G on one element per coset xZ, its least member.  The span S
+    contains Z, with S/Z = (Z/ell)^r.  An x of order ell mod Z commuting
+    with S mod Z normalizes S, so <S, x> = S<x>, of order |S| * ell when no
+    x^k (0 < k < ell) is in S.  For a prime ell each S is visited once, on
+    its canonical chain x_1 < x_2 < ..., x_i = min(S_(i-1)<x_i> - S_(i-1)).
+    The search's products are counted against the enumeration bound.
     """
-    elems = [x for x in range(tg.n) if tg.element_order(x) == ell]
-    if not elems:
-        return 0
-    commute = {x: {y for y in elems if tg.mult(x, y) == tg.mult(y, x)}
-               for x in elems}
-    best = 0
+    if ell < 2 or (group.order // len(center)) % ell:
+        return 0  # no element has order ell mod Z (Lagrange)
+    prime = _is_prime(ell)
+    rep = group.coset_representatives(center)
+    one = rep[group.identity]
+    powers = {}  # x -> [x, x^2, ..., x^(ell-1)] for x not in Z, x^ell in Z
+    for x in range(group.order):
+        if rep[x] == x != one:
+            xs = [x]
+            for _ in range(ell - 1):
+                xs.append(group.mult(xs[-1], x))
+            if rep[xs.pop()] == one:
+                powers[x] = xs
+    elems = list(powers)  # ascending
+    commuting = {}  # x -> the elems commuting with x mod Z
+    work = best = 0
 
-    def search(chosen, span, pool):
+    def charge(products):
+        nonlocal work
+        work += products
+        check_enumeration_bound(work, "elementary abelian rank product")
+
+    def search(depth, span, pool):
         nonlocal best
-        best = max(best, len(chosen))
-        if not pool:
-            return
-        # even if every remaining candidate were independent we need enough left
+        best = max(best, depth)
         for idx, x in enumerate(pool):
-            if len(chosen) + (len(pool) - idx) <= best:
+            if depth + len(pool) - idx <= best:
                 return
-            if x in span:
-                continue
-            new_span = tg.subgroup_closure(list(span) + [x])
-            if len(new_span) != len(span) * ell:
-                continue
-            new_pool = [y for y in pool[idx + 1:] if y in commute[x]]
-            search(chosen + [x], new_span, new_pool)
+            charge(len(span) * (ell - 1))
+            grown = [rep[group.mult(s, xk)] for xk in powers[x] for s in span]
+            if not span.isdisjoint(grown) or (prime and min(grown) < x):
+                continue  # <S, x> is not S x <x>, or off the canonical chain
+            if x not in commuting:
+                charge(2 * len(elems))
+                commuting[x] = {y for y in elems
+                                if rep[group.mult(x, y)] == rep[group.mult(y, x)]}
+            new_span = span.union(grown)
+            search(depth + 1, new_span,
+                   [y for y in pool[idx + 1:]
+                    if y in commuting[x] and y not in new_span])
 
-    search([], tg.subgroup_closure([]), elems)
+    search(0, frozenset({one}), elems)
     return best

@@ -318,8 +318,8 @@ def test_criterion_13_property_suites(icosahedral, quaternion, mu3):
                 FiniteAction.from_generator_images(z2, m4, {1: inv})):
         classes = h1_classes(act)
         for c in classes.representatives:
-            for s in range(act.gamma.n):
-                for t in range(act.gamma.n):
+            for s in range(act.gamma.order):
+                for t in range(act.gamma.order):
                     st = act.gamma.mult(s, t)
                     ok = ok and c[st] == act.module.mult(
                         c[s], act.action[s][c[t]])

@@ -390,7 +390,10 @@ def test_malformed_action_file_refused(capsys, tmp_path, lines):
 # z2mod at --max-degree 6) and `hilbert --max-degree 8` on the 18 group
 # files other than 2i2i2 were captured the same way while invariant_space
 # still substituted every monomial image at every degree; each run takes
-# 0.07-0.6 s as a process.
+# 0.07-0.6 s as a process.  `rank --ell 2/3/5` on the 18 group files other
+# than 2i2i2, `normalizer` on the ten the list did not hold yet and `h1` on
+# the three action files were captured the same way while the rank still
+# ran on a quotient table and a matrix group's table was a second group.
 with open(os.path.join(ROOT, "tests", "data", "cli-machine-outputs.json")) as fh:
     PINNED = json.load(fh)
 

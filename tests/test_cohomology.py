@@ -16,7 +16,7 @@ DATA = corpus.DATA_DIR
 
 
 def _trivial_action(gamma, module):
-    return FiniteAction(gamma, module, [tuple(range(module.n))] * gamma.n)
+    return FiniteAction(gamma, module, [tuple(range(module.order))] * gamma.order)
 
 
 def test_h1_z2_trivial_on_z2():
@@ -59,8 +59,8 @@ def test_h1_cocycle_identity_on_representatives(s3_perm):
     act = _trivial_action(z2, module)
     classes = h1_classes(act)
     for c in classes.representatives:
-        for s in range(z2.n):
-            for t in range(z2.n):
+        for s in range(z2.order):
+            for t in range(z2.order):
                 st = z2.mult(s, t)
                 assert c[st] == module.mult(c[s], act.action[s][c[t]])
 
@@ -114,7 +114,7 @@ def test_twisted_conjugation_is_equivalence():
     def twist(c, b):
         binv = m4.inverse(b)
         return tuple(m4.mult(m4.mult(binv, c[s]), act.action[s][b])
-                     for s in range(z2.n))
+                     for s in range(z2.order))
 
     cocycles = []
     for v in range(4):
@@ -165,8 +165,8 @@ def test_square_classes_rejects_char2():
 
 def test_action_file_roundtrip():
     action, module = load_action_file(os.path.join(DATA, "z2-inv-mu4.action"))
-    assert action.gamma.n == 2
-    assert action.module.n == 4
+    assert action.gamma.order == 2
+    assert action.module.order == 4
     assert h1_classes(action).count == 2
 
 

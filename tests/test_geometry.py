@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -316,6 +317,36 @@ def test_work_budgets_refuse_before_starting(argv, what, seconds):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: {what} enumeration bound 1000000 exceeded\n"
+
+
+def _sign_group_file(tmp_path, n):
+    """<diag(1, .., -1 at i, .., 1) : i < n> in GL_n(Q), of order 2^n, as a
+    group file; its scalars are +-I, so G/Z = (Z/2)^(n-1)."""
+    gens = [", ".join("-1" if j == k == i else "1" if j == k else "0"
+                      for j in range(n) for k in range(n)) for i in range(n)]
+    path = tmp_path / f"signs{n}.group"
+    path.write_text(f"field = rational\ndim = {n}\n"
+                    + "".join(f"generator = {g}\n" for g in gens))
+    return str(path)
+
+
+@pytest.mark.parametrize("n, rank", [(7, 6), (8, None)])
+def test_rank_search_of_sign_groups_is_bounded(tmp_path, n, rank):
+    # each elementary abelian subgroup of G/Z is visited once, along its
+    # canonical chain: n = 7 answers after 791,575 of the 10^6 products,
+    # and n = 8, with 127 involutions mod Z, is refused at the budget
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", BOUNDED_CLI_SCRIPT, "rank",
+                           "--group", _sign_group_file(tmp_path, n), "--ell", "2",
+                           "--machine"], capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    if rank is None:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: elementary abelian rank product "
+                               "enumeration bound 1000000 exceeded\n")
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outputs"]["rank"] == rank
 
 
 def test_translate_budget_counts_the_squaring_products(monkeypatch):

@@ -17,7 +17,7 @@ from invforge.groups import (automorphism_group, character_inner_product,
 from invforge.invariants import molien_series
 from invforge.linalg import Matrix
 from invforge.tables import TableGroup, automorphisms, is_automorphism
-from invforge import corpus
+from invforge import corpus, tables
 
 Q = FieldSpec.rationals()
 
@@ -111,6 +111,76 @@ def test_rank_bounded_by_dimension():
         assert elementary_abelian_rank(g, ell) <= g.n
 
 
+def _quotient_table(g, center):
+    """G/Z as a full table: cosets xZ numbered by least member, multiplied
+    through their least members."""
+    coset, reps = {}, []
+    for x in range(g.order):
+        if x not in coset:
+            coset.update((g.mult(x, z), len(reps)) for z in center)
+            reps.append(x)
+    return TableGroup([[coset[g.mult(a, b)] for b in reps] for a in reps])
+
+
+def _rank_reference(q, ell):
+    """Largest r with (Z/ell)^r <= q: every subgroup generated by r commuting
+    elements of order ell, each multiplying the order by ell, level by level."""
+    elems = [x for x in range(q.order) if q.element_order(x) == ell]
+    level, r = {frozenset({q.identity})}, 0
+    while True:
+        grown = set()
+        for span in level:
+            for x in elems:
+                if x not in span and all(q.mult(x, y) == q.mult(y, x) for y in span):
+                    new = q.subgroup_closure(list(span) + [x])
+                    if len(new) == len(span) * ell:
+                        grown.add(new)
+        if not grown:
+            return r
+        level, r = grown, r + 1
+
+
+@pytest.mark.parametrize("fname", sorted(
+    f for f in os.listdir(corpus.DATA_DIR)
+    if f.endswith(".group") and f != "2i2i2.group"))
+def test_rank_modulo_the_scalars_matches_the_quotient_table(fname):
+    g = load_group_file(os.path.join(corpus.DATA_DIR, fname))
+    for center in (g.scalar_indices(), [g.identity]):
+        quotient = _quotient_table(g, center)
+        for ell in (2, 3, 4, 5, 7):
+            assert (tables.elementary_abelian_rank(g, ell, center)
+                    == _rank_reference(quotient, ell)), (center, ell)
+
+
+def test_rank_of_tables_matches_the_reference():
+    # a composite ell asks for (Z/ell)^r: in Z/4 x Z/2 the order-4 elements
+    # (1, 0) and (1, 1) commute but share their square, so the rank is 1
+    z4z2 = TableGroup([[(a % 4 + b % 4) % 4 + 4 * ((a // 4 + b // 4) % 2)
+                        for b in range(8)] for a in range(8)])
+    z4z4 = TableGroup([[(a % 4 + b % 4) % 4 + 4 * ((a // 4 + b // 4) % 4)
+                        for b in range(16)] for a in range(16)])
+    # Z/4 with its involution at index 1, below both generators: a chain
+    # that must start at the least element would miss <x> for ell = 4
+    z4_low_involution = TableGroup([[0, 1, 2, 3], [1, 0, 3, 2],
+                                    [2, 3, 1, 0], [3, 2, 0, 1]])
+    for tg in (TableGroup.cyclic(8), z4z2, z4z4, z4_low_involution, _dihedral8(),
+               TableGroup([[i ^ j for j in range(8)] for i in range(8)])):
+        for ell in (2, 3, 4, 8):
+            assert (tables.elementary_abelian_rank(tg, ell, [tg.identity])
+                    == _rank_reference(tg, ell)), (tg.table, ell)
+    assert [tables.elementary_abelian_rank(z4z4, ell, [0]) for ell in (2, 4)] == [2, 2]
+    assert tables.elementary_abelian_rank(z4z2, 4, [0]) == 1
+    assert tables.elementary_abelian_rank(z4_low_involution, 4, [0]) == 1
+
+
+def test_rank_for_an_ell_not_dividing_the_order_makes_no_product(monkeypatch):
+    # Lagrange: no element has order ell mod Z, however large ell is
+    z8 = TableGroup.cyclic(8)
+    monkeypatch.setattr(TableGroup, "mult", lambda self, a, b: pytest.fail("product"))
+    assert tables.elementary_abelian_rank(z8, 10 ** 9 + 7, [0]) == 0
+    assert tables.elementary_abelian_rank(z8, 1, [0]) == 0
+
+
 def test_automorphism_counts(quaternion):
     c6 = FieldSpec.cyclotomic(6)
     z6 = close_group([Matrix(c6, [[c6.gen()]])])
@@ -153,7 +223,7 @@ def test_automorphisms_match_brute_force(quaternion, s3_perm):
                TableGroup([[i ^ j for j in range(8)] for i in range(8)])]
     counts = []
     for tg in groups:
-        brute = [p for p in itertools.permutations(range(tg.n))
+        brute = [p for p in itertools.permutations(range(tg.order))
                  if is_automorphism(tg, p)]
         assert automorphisms(tg) == brute
         counts.append(len(brute))
@@ -230,29 +300,6 @@ def test_group_file_parsing_errors():
         parse_group_text("field = rational\ndim = 2\ngenerator = 1, 0, 0")
 
 
-def test_table_group_quotient(quaternion):
-    tg = quaternion.table_group()
-    quotient, coset_of = tg.quotient(quaternion.scalar_indices())
-    assert quotient.n == 4
-    assert all(quotient.element_order(i) in (1, 2) for i in range(4))
-    assert coset_of[0] == 0
-
-
-def test_quotient_needs_a_normal_subgroup(s3_perm):
-    # S3 by <(1 2 3)> is Z/2; the cosets of <(1 2)> are not a group
-    tg = s3_perm.table_group()
-    rotation = next(x for x in range(6) if tg.element_order(x) == 3)
-    swap = next(x for x in range(6) if tg.element_order(x) == 2)
-    quotient, coset_of = tg.quotient(tg.subgroup_closure([rotation]))
-    assert quotient.table == ((0, 1), (1, 0))
-    assert [coset_of[x] for x in (tg.identity, rotation, swap)] == [0, 0, 1]
-    with pytest.raises(InvForgeError, match="subgroup is not normal"):
-        tg.quotient(tg.subgroup_closure([swap]))
-    # {0, 1} in Z/4 has disjoint translates {0, 1} and {2, 3}
-    with pytest.raises(InvForgeError, match="not a subgroup"):
-        TableGroup.cyclic(4).quotient([0, 1])
-
-
 def test_table_group_cyclic():
     t = TableGroup.cyclic(6)
     assert t.element_order(1) == 6
@@ -322,7 +369,7 @@ def _check_all_products(g):
     assert [m.key() for m in fresh.elements] == [m.key() for m in g.elements]
     pairs = [(i, j) for i in range(g.order) for j in range(g.order)]
     _check_products(fresh, pairs)
-    assert g.table_group().table == fresh.table_group().table
+    assert g.table_group()._table == fresh.table_group()._table
 
 
 def test_cayley_mult_small_corpus_groups():
@@ -442,9 +489,9 @@ def test_orders_and_inverses_match_matrix_powers():
 def _image_set_classes(tg):
     """Classes by definition: the class of x is {g x g^-1 : g in G}."""
     classes, seen = [], set()
-    for x in range(tg.n):
+    for x in range(tg.order):
         if x not in seen:
-            cls = {tg.mult(tg.mult(g, x), tg.inverse(g)) for g in range(tg.n)}
+            cls = {tg.mult(tg.mult(g, x), tg.inverse(g)) for g in range(tg.order)}
             seen |= cls
             classes.append(tuple(sorted(cls)))
     return tuple(classes)
@@ -454,7 +501,7 @@ def test_table_group_classes_match_image_sets(quaternion, s3_perm):
     groups = [TableGroup.cyclic(n) for n in range(1, 9)]
     groups += [_dihedral8(), TableGroup([[i ^ j for j in range(8)] for i in range(8)]),
                s3_perm.table_group(),
-               quaternion.table_group().quotient(quaternion.scalar_indices())[0]]
+               TableGroup([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])]
     for tg in groups:
         assert tg.conjugacy_classes() == _image_set_classes(tg)
 

@@ -7,11 +7,12 @@ import pytest
 from invforge.errors import InvForgeError
 from invforge.fields import FieldSpec, parse_field_spec
 from invforge.groups import (automorphism_group, character_inner_product,
-                             close_group, natural_character, outer_classes)
+                             close_group, load_group_file, natural_character,
+                             outer_classes)
 from invforge.linalg import Matrix, intertwiner_space
 from invforge.normalizer import (graded_aut_of_An, intertwiner,
                                  normalizer_report, verify_intertwiner)
-from invforge import corpus
+from invforge import corpus, tables
 
 Q = FieldSpec.rationals()
 
@@ -81,6 +82,38 @@ def test_normalizer_report_nonsplit(nonsplit_rotation):
     assert rep.commutant_dim == 2
     assert rep.torus_split is False
     assert any("non-split" in note for note in rep.notes)
+
+
+def _e8_report_runs(monkeypatch, method, cache):
+    """A freshly loaded e8 after `normalizer_report`, and a list that grows
+    each time `IndexedGroup.<method>` computes (finds its cache slot empty)."""
+    runs = []
+    original = getattr(tables.IndexedGroup, method)
+
+    def counted(self):
+        if getattr(self, cache) is None:
+            runs.append(method)
+        return original(self)
+
+    monkeypatch.setattr(tables.IndexedGroup, method, counted)
+    g = load_group_file(os.path.join(corpus.DATA_DIR, "e8.group"))
+    normalizer_report(g)
+    return g, runs
+
+
+def test_e8_report_searches_the_greedy_generators_once(monkeypatch):
+    # the automorphism search reads them, and the group keeps them in a
+    # slot for the next search
+    g, runs = _e8_report_runs(monkeypatch, "greedy_generators", "_greedy")
+    assert len(runs) == 1
+    assert len(tables.automorphisms(g)) == 120 and len(runs) == 1
+
+
+def test_e8_report_finds_the_classes_once(monkeypatch):
+    # the automorphism search and the intertwiners' trace refusal read the
+    # one group's 9 classes; its table is a cache, not a second group
+    g, runs = _e8_report_runs(monkeypatch, "conjugacy_classes", "_classes")
+    assert len(runs) == 1 and len(g.conjugacy_classes()) == 9
 
 
 def test_realized_outer_closed_under_composition(quaternion):

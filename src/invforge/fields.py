@@ -687,6 +687,45 @@ def _reduced(t, d):
     return (t, d) if g == 1 else (tuple([x // g for x in t]), d // g)
 
 
+def degree_one_reduction(spec, reps):
+    """(F_p, reduce) at a prime P of degree 1 of the number field `spec`;
+    None over F_q, which needs no reduction.
+
+    m' is the monic integral minimal polynomial of z' = s*z, the basis of
+    the representatives.  p is the least prime >= 3 that does not divide
+    disc(m') (so m' is squarefree mod p, p is unramified and Z[z'] is
+    p-maximal), at which m' has a root mod p (r, the least one), and that
+    divides no denominator of the representatives `reps`.  Such p exist
+    beyond every bound (Schur: a nonconstant integer polynomial has roots
+    modulo infinitely many primes), so the search ends.  P = (p, z' - r)
+    has residue field F_p, and reduce((t, d)) = sum t_k r^k / d mod p is a
+    ring homomorphism on the elements whose d is prime to p, which are
+    P-integral.  It refuses any other element with FieldError.
+    """
+    if spec.characteristic():
+        return None
+    tail, m = spec._tail, spec.degree
+    # the norm of m''(z') is +-Res(m', m'') = +-disc(m')
+    disc = spec._scaled_inverse(
+        tuple(-(k + 1) * tail[k + 1] for k in range(m - 1)) + (m,))[1]
+    dens = {d for _, d in reps}
+    for p in itertools.count(3):
+        if _is_prime(p) and disc % p and all(d % p for d in dens):
+            r = next((r for r in range(p) if (pow(r, m, p) - sum(
+                t * pow(r, k, p) for k, t in enumerate(tail))) % p == 0), None)
+            if r is not None:
+                break
+    powers = [pow(r, k, p) for k in range(m)]
+
+    def reduce(rep):
+        t, d = rep
+        if not d % p:
+            raise FieldError(f"denominator {d} is divisible by the prime {p}")
+        return (sum(map(operator.mul, t, powers)) * pow(d, -1, p) % p,)
+
+    return FieldSpec.finite_field(p), reduce
+
+
 def _check_min_poly_irreducible(mp):
     deg = len(mp) - 1
     if deg == 1:

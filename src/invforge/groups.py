@@ -184,8 +184,13 @@ def automorphism_group(g: FiniteMatrixGroup, bound=DEFAULT_AUT_BOUND):
             raise BoundExceededError(
                 f"automorphism bound {bound} exceeded (|G| = {g.order})")
         perms = tables.automorphisms(g.table_group(), bound=bound)
-        inner = tables.inner_automorphisms(g)
-        g._cache[key] = [GroupAutomorphism(p, p in inner) for p in perms]
+        # an automorphism is conjugation by x iff it agrees with it on the
+        # generators: 2 k |G| products, not 2 |G|^2
+        gens = g.greedy_generators()
+        inner = {tuple(g.mult(g.mult(x, s), g.inverse(x)) for s in gens)
+                 for x in range(g.order)}
+        g._cache[key] = [GroupAutomorphism(p, tuple(p[s] for s in gens) in inner)
+                         for p in perms]
     return g._cache[key]
 
 

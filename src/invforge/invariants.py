@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvForgeError, ModularityError, check_enumeration_bound
+from .errors import (FieldError, InvForgeError, ModularityError,
+                     check_enumeration_bound)
 from .groups import FiniteMatrixGroup, reflection_subgroup
-from .fields import FieldElement, _berkowitz
+from .fields import FieldElement, _berkowitz, degree_one_reduction
 from .linalg import EchelonBasis, Matrix, combine_rows, kernel
 from .poly import Polynomial, _int_mul, _int_terms
 from .tables import cayley_closure, extend_map
@@ -257,8 +258,11 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
 
     Conjugacy classes (one Berkowitz call each) are bucketed by characteristic
     polynomial with their sizes; each bucket's series inverse is a linear
-    recurrence of length n.  The series to the largest
-    degree asked is kept in group._cache; a smaller d_max is its truncation.
+    recurrence of length n over its nonzero coefficients.  The recurrences
+    and the sum weighted by bucket size run on representatives
+    (`spec._add`, `_mul`, `_neg`); FieldElements are built for the totals
+    only.  The series to the largest degree asked is kept in group._cache;
+    a smaller d_max is its truncation.
     """
     check_degree_bound(d_max)
     if group.spec.characteristic() != 0:
@@ -268,30 +272,29 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
         return GradedDims(memo.dims[:d_max + 1])
     spec, n = group.spec, group.n
     zero, one = spec.zero(), spec.one()
-    buckets = {}
+    add, mul = spec._add, spec._mul
+    buckets = {}  # det(1 - t g) as representatives -> number of elements
     for cls in group.conjugacy_classes():
         # det(1 - t g) = sum_k c_k t^k for char poly x^n + c_1 x^{n-1} + ...
         den = _berkowitz(group.elements[cls[0]].entries, zero, one)
         key = tuple(c.rep for c in den)
-        if key in buckets:
-            buckets[key][1] += len(cls)
-        else:
-            buckets[key] = [den, len(cls)]
-    totals = [zero] * (d_max + 1)
-    for den, count in buckets.values():
-        inv = [one]
+        buckets[key] = buckets.get(key, 0) + len(cls)
+    totals = [zero.rep] * (d_max + 1)
+    for den, count in buckets.items():
+        taps = [(k, c) for k, c in enumerate(den) if k and not spec._is_zero(c)]
+        inv = [one.rep]
         for m_ in range(1, d_max + 1):
-            acc = zero
-            for k in range(1, min(m_, n) + 1):
-                acc = acc + den[k] * inv[m_ - k]
-            inv.append(-acc)
-        cnt = spec.from_int(count)
-        for d in range(d_max + 1):
-            totals[d] = totals[d] + cnt * inv[d]
+            acc = zero.rep
+            for k, c in taps:
+                if k <= m_:
+                    acc = add(acc, mul(c, inv[m_ - k]))
+            inv.append(spec._neg(acc))
+        cnt = spec._const(count)
+        totals = [add(t, mul(cnt, x)) for t, x in zip(totals, inv)]
     order = spec.from_int(group.order)
     dims = []
     for d, tot in enumerate(totals):
-        val = (tot / order).as_rational()
+        val = (FieldElement(spec, tot) / order).as_rational()
         if val.denominator != 1 or val < 0:
             raise InvForgeError(f"non-integral Molien coefficient at degree {d}")
         dims.append(int(val))
@@ -353,6 +356,17 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
     degree-|G| monomials exceed the enumeration bound.  In characteristic 0
     the Molien series prunes degrees that products of earlier generators
     already fill.
+
+    Such a degree is certified full modulo a prime P of degree 1
+    (`degree_one_reduction`, picked again whenever a new generator is not
+    P-integral) before any exact product is built.  Reduction mod P is a
+    ring homomorphism on the P-integral elements, so the reduced products
+    are the products of the reduced generators, and a minor of their
+    coefficient matrix that is nonzero mod P is nonzero over K: rank_K >=
+    rank_P.  When rank_P reaches target = Molien[d] = dim of the degree-d
+    invariants >= rank_K, the products span them.  Otherwise (a new
+    generator is needed, or P is unlucky) the exact search below runs
+    unchanged, so the output does not depend on P.
     """
     p = group.spec.characteristic()
     modular = p != 0 and group.order % p == 0
@@ -370,15 +384,20 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
         mol = molien_series(group, d_max)
     gens = []
     power_cache = {}
+    reduced = None  # (F_p, reduce, generators mod P, their power cache)
     for d in range(1, d_max + 1):
         target_dim = mol[d] if mol is not None else None
         if target_dim == 0:
             continue
         basis_order = monomials(group.n, d)
         idx = {e: i for i, e in enumerate(basis_order)}
+        expos = weighted_monomials([dg for dg, _ in gens], d)
+        if (reduced is not None and len(expos) >= target_dim
+                and _spans_mod_p(reduced, expos, idx, target_dim)):
+            continue
         span = EchelonBasis(group.spec)
         polys = [f for _, f in gens]
-        for expo in weighted_monomials([dg for dg, _ in gens], d):
+        for expo in expos:
             span.insert(coefficient_vector(
                 _power_product(polys, expo, power_cache), idx))
         if target_dim is not None and len(span) == target_dim:
@@ -393,7 +412,46 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             terms = {basis_order[i]: c for i, c in enumerate(normalized)
                      if not c.is_zero()}
             gens.append((d, Polynomial(group.spec, group.n, terms)))
+        if mol is not None:
+            reduced = _reduce_generators(group.spec, [f for _, f in gens], reduced)
     return GeneratorSet(group, gens, d_max)
+
+
+def _reduce_generators(spec, polys, reduced):
+    """(F_p, reduce, polys mod P, power cache) at the prime P of `reduced`
+    while every generator is P-integral, else at a prime picked again over
+    all of them; None when there is no reduction."""
+    if reduced is not None:
+        field, reduce, images, cache = reduced
+        try:
+            images = images + [_reduce_polynomial(field, reduce, f)
+                               for f in polys[len(images):]]
+            return field, reduce, images, cache
+        except FieldError:
+            pass
+    reduction = degree_one_reduction(
+        spec, [c.rep for f in polys for c in f.terms.values()])
+    if reduction is None:
+        return None
+    field, reduce = reduction
+    return field, reduce, [_reduce_polynomial(field, reduce, f) for f in polys], {}
+
+
+def _reduce_polynomial(field, reduce, f):
+    return Polynomial(field, f.nvars, {e: FieldElement(field, reduce(c.rep))
+                                       for e, c in f.terms.items()})
+
+
+def _spans_mod_p(reduced, expos, idx, target_dim):
+    """True iff the products x^expo of the generators mod P span target_dim
+    dimensions; stops as soon as they do."""
+    field, _, polys, cache = reduced
+    span = EchelonBasis(field)
+    for expo in expos:
+        span.insert(coefficient_vector(_power_product(polys, expo, cache), idx))
+        if len(span) == target_dim:
+            return True
+    return False
 
 
 def _power_product(polys, expo, power_cache):

@@ -7,6 +7,7 @@ used for rendering, monomial bases and single-divisor division.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import partial
@@ -180,7 +181,7 @@ class Polynomial:
             for cache, base, a in zip(powers, bases, e):
                 if a:
                     if a not in cache:
-                        cache[a] = _power(base, a, partial(_int_mul, spec))
+                        cache[a] = _int_power(spec, base, a)
                     prod = cache[a] if prod is None else _int_mul(spec, prod, cache[a])
             if prod is None:
                 terms = [((0,) * target.nvars, c)]
@@ -277,6 +278,51 @@ def _int_mul(spec, p, q):
             e = tuple(map(operator.add, e1, e2))
             out[e] = add(out[e], x) if e in out else x
     return {e: x for e, x in out.items() if not is_zero(x)}
+
+
+def _int_power(spec, base, a):
+    """base^a (a >= 1) for an integer-term dict over den, over den^a.
+
+    A linear form sum_j c_j x_(v_j) of two or more terms is raised by the
+    multinomial theorem: the term of prod_j x_(v_j)^(k_j), |k| = a, is
+    a! / (k_1! .. k_m!) * prod_j c_j^(k_j).  Each c_j's powers are taken
+    once and shared along the variables in turn, so every output term costs
+    one `_row_scale` and an integer scale.  The entries are exact in Z[z']
+    (reduced mod p over F_q), so they are those of repeated squaring, which
+    every other base keeps.
+    """
+    if len(base) < 2 or any(sum(e) != 1 for e in base):
+        return _power(base, a, partial(_int_mul, spec))
+    scale, is_zero = spec._row_scale, spec._int_is_zero
+    units, cs = list(base), list(base.values())
+    powers = []  # powers[j][i] = c_j^(i + 1)
+    for c in cs:
+        row = [c]
+        for _ in range(a - 1):
+            row.append(scale(c, [row[-1]])[0])
+        powers.append(row)
+    # (exponent, degree left, product so far or None, multinomial so far)
+    terms = [((0,) * len(units[0]), a, None, 1)]
+    for j, unit in enumerate(units):
+        v, last = unit.index(1), j == len(units) - 1
+        grown = []
+        for e, left, x, count in terms:
+            for k in ((left,) if last else range(left, -1, -1)):
+                if k:
+                    y = powers[j][k - 1]
+                    x_k = y if x is None else scale(x, [y])[0]
+                    e_k = e[:v] + (k,) + e[v + 1:]
+                else:
+                    x_k, e_k = x, e
+                grown.append((e_k, left - k, x_k, count * math.comb(left, k)))
+        terms = grown
+    counts, _ = spec._int_row([spec._const(count) for *_, count in terms])
+    out = {}
+    for (e, _, x, _), n in zip(terms, counts):
+        x, = scale(n, [x])
+        if not is_zero(x):
+            out[e] = x
+    return out
 
 
 def _poly_of_int_terms(spec, nvars, terms, den):

@@ -234,15 +234,6 @@ def automorphisms(group: IndexedGroup, bound=400):
     return sorted(set(found))
 
 
-def inner_automorphisms(group: IndexedGroup):
-    """Conjugation permutations, as a set of tuples."""
-    n, inner = group.order, set()
-    for g in range(n):
-        ginv = group.inverse(g)
-        inner.add(tuple(group.mult(group.mult(g, x), ginv) for x in range(n)))
-    return inner
-
-
 def is_automorphism(group: IndexedGroup, perm):
     n = group.order
     if sorted(perm) != list(range(n)):

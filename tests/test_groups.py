@@ -197,6 +197,19 @@ def test_automorphisms_of_s3_all_inner(s3_perm):
     assert all(a.inner for a in auts)
 
 
+def test_inner_flags_match_the_conjugation_permutations():
+    # the flags come from the greedy generators' images; the reference
+    # builds every conjugation y -> x y x^-1 in full
+    for name in sorted(os.listdir(corpus.DATA_DIR)):
+        if name.endswith(".group") and name != "2i2i2.group":
+            g = load_group_file(os.path.join(corpus.DATA_DIR, name))
+            n = g.order
+            conjugations = {tuple(g.mult(g.mult(x, y), g.inverse(x)) for y in range(n))
+                            for x in range(n)}
+            inner = {a.perm for a in automorphism_group(g) if a.inner}
+            assert inner == conjugations, name
+
+
 def test_automorphism_group_properties(quaternion):
     tg = quaternion.table_group()
     auts = automorphism_group(quaternion)

@@ -136,6 +136,87 @@ def test_minimal_generators_e8_multiplies_only_dense_scalars(monkeypatch):
     assert calls[0] < 10_000
 
 
+def test_minimal_generators_e8_reduced_products_within_budget(monkeypatch):
+    # degrees 31..120 are certified by products mod 41, and the dense
+    # generator's linear images are raised by the multinomial theorem
+    icosahedral = groups.load_group_file(
+        os.path.join(corpus.DATA_DIR, "e8.group"))
+    calls = [0]
+    original = fields._reduced_product
+
+    def counted(a, b, tail):
+        calls[0] += 1
+        return original(a, b, tail)
+
+    monkeypatch.setattr(fields, "_reduced_product", counted)
+    assert minimal_generators(icosahedral).degrees == [12, 20, 30]
+    assert calls[0] <= 4_500
+
+
+def _char0_corpus_groups():
+    """Freshly loaded characteristic-0 corpus groups, 2i2i2 left out."""
+    for name in sorted(os.listdir(corpus.DATA_DIR)):
+        if name.endswith(".group") and name != "2i2i2.group":
+            g = groups.load_group_file(os.path.join(corpus.DATA_DIR, name))
+            if g.spec.characteristic() == 0:
+                yield name, g
+
+
+def test_minimal_generators_match_the_exact_search(monkeypatch):
+    certified = {name: minimal_generators(g).generators
+                 for name, g in _char0_corpus_groups()}
+    assert len(certified) == 16
+    monkeypatch.setattr(invariants, "degree_one_reduction", lambda spec, reps: None)
+    for name, g in _char0_corpus_groups():
+        assert minimal_generators(g).generators == certified[name], name
+
+
+def _count_spans(monkeypatch):
+    """The EchelonBasis fields of one run, and the certificates' outcomes."""
+    spans, outcomes = [], []
+    basis, certify = invariants.EchelonBasis, invariants._spans_mod_p
+
+    def counted_basis(spec):
+        spans.append(spec)
+        return basis(spec)
+
+    def counted_certify(*args):
+        outcomes.append(certify(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(invariants, "EchelonBasis", counted_basis)
+    monkeypatch.setattr(invariants, "_spans_mod_p", counted_certify)
+    return spans, outcomes
+
+
+def test_minimal_generators_e8_certifies_42_degrees_mod_41(monkeypatch):
+    icosahedral = groups.load_group_file(
+        os.path.join(corpus.DATA_DIR, "e8.group"))
+    spans, outcomes = _count_spans(monkeypatch)
+    assert minimal_generators(icosahedral).degrees == [12, 20, 30]
+    # 45 degrees in 1..120 have invariants; only 12, 20 and 30 run exactly
+    assert sum(1 for d in molien_series(icosahedral, 120).dims[1:] if d) == 45
+    assert outcomes == [True] * 42
+    assert [s for s in spans if s != icosahedral.spec] == [FieldSpec.finite_field(41)] * 42
+    assert spans.count(icosahedral.spec) == 3
+
+
+def test_minimal_generators_fall_back_when_every_reduction_is_zero(monkeypatch):
+    # a reduction that sends every coefficient to 0 certifies nothing: each
+    # degree with invariants runs the exact search, with the same output
+    icosahedral = groups.load_group_file(
+        os.path.join(corpus.DATA_DIR, "e8.group"))
+    want = minimal_generators(icosahedral).generators
+    F = FieldSpec.finite_field(41)
+    monkeypatch.setattr(invariants, "degree_one_reduction",
+                        lambda spec, reps: (F, lambda rep: (0,)))
+    spans, outcomes = _count_spans(monkeypatch)
+    fresh = groups.load_group_file(os.path.join(corpus.DATA_DIR, "e8.group"))
+    assert minimal_generators(fresh).generators == want
+    assert outcomes == [False] * 42
+    assert spans.count(fresh.spec) == 45
+
+
 def test_default_degree_bound_refused_past_the_enumeration_bound():
     # diag(64, 1, 1, 1) has order 181 in GL_4(F_1087) (64 = 2^6, 2^1086 = 1
     # and 181 is prime): degree 181 has C(184, 3) > 10^6 monomials

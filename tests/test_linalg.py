@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from invforge.errors import LinalgError
-from invforge.fields import FieldSpec, _berkowitz, _reduced_product, parse_field_spec
+from invforge.errors import FieldError, LinalgError
+from invforge.fields import (FieldElement, FieldSpec, _berkowitz, _power, _reduced_product,
+                             degree_one_reduction, parse_field_spec)
 from invforge.groups import automorphism_group
 from invforge.linalg import (EchelonBasis, Matrix, Subspace, char_poly,
                              combine_rows, commutant_basis, eigenspace,
                              eigenvalue_candidates, eval_poly_at_matrix,
                              intertwiner_space, is_split_diagonalizable, kernel,
                              simultaneous_eigenvectors, spin_submodule)
-from invforge.poly import Polynomial, parse_polynomial
+from invforge.poly import (Polynomial, _int_mul, _int_power, _int_terms,
+                           parse_polynomial)
 
 Q = FieldSpec.rationals()
 FIELDS = ["rational", "finite(5)", "finite(2, z^3 + z + 1)", "cyclotomic(20)",
@@ -764,6 +766,95 @@ def test_substitution_matches_field_element_reference(text):
                 chart += [Polynomial.variable(spec, nvars - 1, i)
                           for i in range(nvars - 1)]
                 _same_terms(p.compose(chart), _ref_dehomogenize(p))
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_linear_powers_match_repeated_squaring(text):
+    # multinomial powers of linear forms with two or more terms, repeated
+    # squaring for zero and single-term forms: the same integer tuples
+    spec = parse_field_spec(text)
+    rng = random.Random(text)
+
+    def row(kind, n):
+        if kind == "zero":
+            return [spec.zero()] * n
+        if kind == "single":
+            k = rng.randrange(n)
+            return [_random_scalar(spec, rng) if j == k else spec.zero()
+                    for j in range(n)]
+        return [_random_scalar(spec, rng) or spec.one() for _ in range(n)]
+
+    kinds = ("zero", "single", "dense")
+    for n in range(1, 5):
+        for trial in range(3):
+            rows = [row(kinds[(j + trial) % 3], n) for j in range(n)]
+            forms = [Polynomial.linear(spec, r) for r in rows]
+            for a in range(trial + 1, 13, 3):  # 1..12 over the three trials
+                # a on one variable, the rest of degree <= 12 on the others
+                i, left = rng.randrange(n), 12 - a
+                e = [0] * n
+                for j in range(n):
+                    if j != i:
+                        e[j] = rng.randint(0, left)
+                        left -= e[j]
+                e[i] = a
+                want = Polynomial.constant(spec, n, 1)
+                for form, k in zip(forms, e):
+                    want = want * form ** k
+                got = Polynomial.monomial(spec, n, e).substitute_linear(rows)
+                _same_terms(got, want.terms)
+                (base,), _, _ = _int_terms(spec, [forms[i]])
+                if base:
+                    assert (_int_power(spec, base, a)
+                            == _power(base, a, lambda x, y: _int_mul(spec, x, y)))
+
+
+@pytest.mark.parametrize("text", FIELDS)
+def test_degree_one_reduction_is_a_ring_map(text):
+    spec = parse_field_spec(text)
+    reduction = degree_one_reduction(spec, [])
+    if spec.characteristic():
+        assert reduction is None  # F_q needs no reduction
+        return
+    field, reduce = reduction
+    rng = random.Random(text)
+
+    def image(x):
+        return FieldElement(field, reduce(x.rep))
+
+    elements = [spec.zero(), spec.one()]
+    while len(elements) < 30:
+        x = _random_scalar(spec, rng)
+        if x.rep[1] % field.p:  # P-integral
+            elements.append(x)
+    assert image(spec.one()) == field.one() and image(spec.zero()) == field.zero()
+    for x, y in zip(elements, elements[1:] + elements[:1]):
+        assert image(x + y) == image(x) + image(y)
+        assert image(x * y) == image(x) * image(y)
+        assert image(-x) == -image(x)
+        if x and x.inverse().rep[1] % field.p:  # a unit of the ring it maps
+            assert image(x.inverse()) * image(x) == field.one()
+
+
+def test_degree_one_reduction_refuses_a_denominator_divisible_by_p():
+    field, reduce = degree_one_reduction(Q, [])
+    assert field == FieldSpec.finite_field(3)
+    assert reduce(Q.from_fraction(Fraction(1, 2)).rep) == (2,)
+    with pytest.raises(FieldError, match="divisible by the prime 3"):
+        reduce(Q.from_fraction(Fraction(1, 6)).rep)
+    # asked for the representatives of 1/3, it moves on to p = 5
+    field, reduce = degree_one_reduction(Q, [Q.from_fraction(Fraction(1, 3)).rep])
+    assert field.p == 5 and reduce(Q.from_fraction(Fraction(1, 3)).rep) == (2,)
+
+
+@pytest.mark.parametrize("text, p", [
+    ("rational", 3), ("cyclotomic(4)", 5), ("cyclotomic(3)", 7),
+    ("cyclotomic(5)", 11), ("number_field(z^2 + z + 2)", 11),
+    ("cyclotomic(20)", 41)])
+def test_degree_one_reduction_takes_the_least_good_prime(text, p):
+    # p >= 3, prime to disc(m'), and m' has a root mod p (Q(zeta_n): p = 1 mod n)
+    field, _ = degree_one_reduction(parse_field_spec(text), [])
+    assert field == FieldSpec.finite_field(p)
 
 
 def test_compose_of_no_images_is_the_polynomial_itself():

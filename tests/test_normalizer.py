@@ -118,9 +118,7 @@ def test_e8_report_finds_the_classes_once(monkeypatch):
 
 def test_realized_outer_closed_under_composition(quaternion):
     rep = normalizer_report(quaternion)
-    tg = quaternion.table_group()
-    from invforge.tables import inner_automorphisms
-    inner = inner_automorphisms(tg)
+    inner = [a.perm for a in automorphism_group(quaternion) if a.inner]
     realized_cosets = set()
     for ro in rep.realized_outer + [None]:
         perm = (tuple(range(quaternion.order)) if ro is None

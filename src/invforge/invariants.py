@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import (FieldError, InvForgeError, ModularityError,
-                     check_enumeration_bound)
+from .errors import (CertificateError, FieldError, InvForgeError,
+                     ModularityError, check_enumeration_bound)
 from .groups import FiniteMatrixGroup, reflection_subgroup
 from .fields import FieldElement, _berkowitz, degree_one_reduction
 from .linalg import EchelonBasis, Matrix, combine_rows, kernel
@@ -125,7 +125,10 @@ def _monomial_images(group, g, exponents):
     """(integer-term dict, den) of g . x^e for each exponent tuple e of one
     degree d >= 1, g a generator of group.
 
-    group._cache keeps, per generator, the images of the last degree asked
+    A generator whose rows are single-term forms c_i x_(v_i) sends x^e to
+    the one term (prod_i c_i^(e_i)) prod_i x_(v_i)^(e_i), over den^d; the
+    powers of each c_i are kept in group._cache across degrees.  For any
+    other generator group._cache keeps the images of the last degree asked
     (only the monomials asked).  At degree d, x^e is x^(e - e_j) * x_j for
     j the last variable with e_j > 0: when the image of x^(e - e_j) is
     cached, g . x^e is that image times the linear form g . x_j.  Otherwise
@@ -137,13 +140,27 @@ def _monomial_images(group, g, exponents):
     if key not in group._cache:
         forms, _, den = _int_terms(spec, [Polynomial.linear(spec, row)
                                           for row in g.entries])
-        group._cache[key] = forms, den, 0, {}
-    forms, den, last, known = group._cache[key]
+        # powers[i][a - 1] = c_i^a for a single-term row i, else None
+        powers = ([list(f.values()) for f in forms]
+                  if all(len(f) == 1 for f in forms) else None)
+        group._cache[key] = forms, den, 0, {}, powers
+    forms, den, last, known, powers = group._cache[key]
     d = sum(exponents[0])
     current = known if last == d else {}
+    scale = spec._row_scale
     out = []
     for e in exponents:
-        if e not in current:
+        if e not in current and powers is not None:
+            f, x = [0] * group.n, None
+            for form, row, a in zip(forms, powers, e):
+                if a:
+                    while len(row) < a:
+                        row.append(scale(row[0], [row[-1]])[0])
+                    (unit,) = form
+                    f[unit.index(1)] += a
+                    x = row[a - 1] if x is None else scale(x, [row[a - 1]])[0]
+            current[e] = {tuple(f): x}, den ** d
+        elif e not in current:
             j = max(i for i, a in enumerate(e) if a)
             prev = e[:j] + (e[j] - 1,) + e[j + 1:]
             if last == d - 1 and prev in known:
@@ -155,7 +172,7 @@ def _monomial_images(group, g, exponents):
                 (terms,), _, image_den = _int_terms(spec, [image])
                 current[e] = terms, image_den
         out.append(current[e])
-    group._cache[key] = forms, den, d, current
+    group._cache[key] = forms, den, d, current, powers
     return out
 
 
@@ -261,45 +278,45 @@ def molien_series(group: FiniteMatrixGroup, d_max) -> GradedDims:
     recurrence of length n over its nonzero coefficients.  The recurrences
     and the sum weighted by bucket size run on representatives
     (`spec._add`, `_mul`, `_neg`); FieldElements are built for the totals
-    only.  The series to the largest degree asked is kept in group._cache;
-    a smaller d_max is its truncation.
+    only.  group._cache keeps each bucket's recurrence with the series so
+    far: a smaller d_max is its truncation, and a larger one extends the
+    recurrences without taking a characteristic polynomial again.
     """
     check_degree_bound(d_max)
     if group.spec.characteristic() != 0:
         raise ModularityError("Molien series requires characteristic 0")
-    memo = group._cache.get("molien series")
-    if memo is not None and len(memo) > d_max:
-        return GradedDims(memo.dims[:d_max + 1])
-    spec, n = group.spec, group.n
-    zero, one = spec.zero(), spec.one()
+    spec = group.spec
+    zero, one = spec.zero().rep, spec.one().rep
+    if "molien series" not in group._cache:
+        buckets = {}  # det(1 - t g) as representatives -> number of elements
+        for cls in group.conjugacy_classes():
+            # det(1 - t g) = sum_k c_k t^k for char poly x^n + c_1 x^{n-1} + ...
+            den = _berkowitz(group.elements[cls[0]].entries, spec.zero(),
+                             spec.one())
+            key = tuple(c.rep for c in den)
+            buckets[key] = buckets.get(key, 0) + len(cls)
+        # per bucket: its taps (k, c_k), size and series inverse so far
+        group._cache["molien series"] = [
+            ([(k, c) for k, c in enumerate(den) if k and not spec._is_zero(c)],
+             spec._const(count), []) for den, count in buckets.items()], []
+    recurrences, dims = group._cache["molien series"]
     add, mul = spec._add, spec._mul
-    buckets = {}  # det(1 - t g) as representatives -> number of elements
-    for cls in group.conjugacy_classes():
-        # det(1 - t g) = sum_k c_k t^k for char poly x^n + c_1 x^{n-1} + ...
-        den = _berkowitz(group.elements[cls[0]].entries, zero, one)
-        key = tuple(c.rep for c in den)
-        buckets[key] = buckets.get(key, 0) + len(cls)
-    totals = [zero.rep] * (d_max + 1)
-    for den, count in buckets.items():
-        taps = [(k, c) for k, c in enumerate(den) if k and not spec._is_zero(c)]
-        inv = [one.rep]
-        for m_ in range(1, d_max + 1):
-            acc = zero.rep
-            for k, c in taps:
-                if k <= m_:
-                    acc = add(acc, mul(c, inv[m_ - k]))
-            inv.append(spec._neg(acc))
-        cnt = spec._const(count)
-        totals = [add(t, mul(cnt, x)) for t, x in zip(totals, inv)]
     order = spec.from_int(group.order)
-    dims = []
-    for d, tot in enumerate(totals):
-        val = (FieldElement(spec, tot) / order).as_rational()
+    for d in range(len(dims), d_max + 1):
+        total = zero
+        for taps, count, inv in recurrences:
+            acc = zero
+            for k, c in taps:
+                if k <= d:
+                    acc = add(acc, mul(c, inv[d - k]))
+            # assigned, not appended: a degree refused below is redone
+            inv[d:] = [spec._neg(acc) if d else one]
+            total = add(total, mul(count, inv[d]))
+        val = (FieldElement(spec, total) / order).as_rational()
         if val.denominator != 1 or val < 0:
             raise InvForgeError(f"non-integral Molien coefficient at degree {d}")
         dims.append(int(val))
-    group._cache["molien series"] = series = GradedDims(dims)
-    return series
+    return GradedDims(dims[:d_max + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +384,11 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
     invariants >= rank_K, the products span them.  Otherwise (a new
     generator is needed, or P is unlucky) the exact search below runs
     unchanged, so the output does not depend on P.
+
+    For n = 2 in characteristic 0 the search stops earlier, at the bound
+    `_cohen_macaulay_bound` reads off the first coprime pair of
+    generators, and the Molien series is extended only as far as the
+    degrees it reaches.
     """
     p = group.spec.characteristic()
     modular = p != 0 and group.order % p == 0
@@ -379,14 +401,14 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             math.comb(d_max + group.n - 1, group.n - 1),
             f"degree-{d_max} monomial (the default bound |G|; pass --max-degree)")
     check_degree_bound(d_max)
-    mol = None
-    if p == 0:
-        mol = molien_series(group, d_max)
     gens = []
     power_cache = {}
     reduced = None  # (F_p, reduce, generators mod P, their power cache)
+    stop = None  # the Cohen-Macaulay bound, once a coprime pair is found
     for d in range(1, d_max + 1):
-        target_dim = mol[d] if mol is not None else None
+        if stop is not None and d > stop:
+            break
+        target_dim = molien_series(group, d)[d] if p == 0 else None
         if target_dim == 0:
             continue
         basis_order = monomials(group.n, d)
@@ -405,6 +427,7 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
         space = invariant_space(group, d)
         if target_dim is None and len(span) == len(space):
             continue
+        new = len(gens)
         for f in space:
             normalized = span.insert(coefficient_vector(f, idx))
             if normalized is None:
@@ -412,9 +435,56 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             terms = {basis_order[i]: c for i, c in enumerate(normalized)
                      if not c.is_zero()}
             gens.append((d, Polynomial(group.spec, group.n, terms)))
-        if mol is not None:
-            reduced = _reduce_generators(group.spec, [f for _, f in gens], reduced)
+        if p == 0:
+            polys = [f for _, f in gens]
+            reduced = _reduce_generators(group.spec, polys, reduced)
+            if stop is None and group.n == 2:
+                stop = _cohen_macaulay_bound(group, polys, new)
     return GeneratorSet(group, gens, d_max)
+
+
+def _cohen_macaulay_bound(group, polys, new):
+    """A degree bound for the minimal generators of a binary group in
+    characteristic 0, from the first coprime pair (polys[j], polys[i]),
+    j < i, i >= new; None when no such pair is coprime.
+
+    Two coprime binary invariants f_1, f_2 of degrees d_1, d_2 are a
+    homogeneous system of parameters, and the invariant ring is
+    Cohen-Macaulay (Hochster-Eagon), so it is free over k[f_1, f_2] on
+    secondaries whose degrees are the exponents of
+    N(t) = Molien(t) (1 - t^d_1)(1 - t^d_2), none above d_1 + d_2 - 2
+    (Stanley 1979).  Primaries and secondaries generate, so no minimal
+    generator lies above max(d_1, d_2, deg N).  The truncation of N to
+    degree d_1 + d_2 - 2 is checked at run time: its coefficients count
+    secondaries, so they are >= 0 and add up to their number
+    d_1 d_2 / |G|, else `CertificateError`.
+    """
+    for i in range(new, len(polys)):
+        for j in range(i):
+            if _coprime_binary_forms(polys[j], polys[i]):
+                d1, d2 = polys[j].total_degree(), polys[i].total_degree()
+                mol = molien_series(group, d1 + d2 - 2)
+                numer = [mol[k] - (mol[k - d1] if k >= d1 else 0)
+                         - (mol[k - d2] if k >= d2 else 0) for k in range(len(mol))]
+                if min(numer) < 0 or sum(numer) * group.order != d1 * d2:
+                    raise CertificateError(
+                        f"Molien series times (1 - t^{d1})(1 - t^{d2}) is not "
+                        f"a count of {d1 * d2}/{group.order} secondary invariants")
+                return max(d1, d2, max(k for k, c in enumerate(numer) if c))
+    return None
+
+
+def _coprime_binary_forms(f, g):
+    """True iff the binary forms f, g have no common factor: the variable y
+    divides at most one of them, and Euclid's gcd of f(x, 1) and g(x, 1)
+    (one-variable `Polynomial`s, by `divmod_single`) is a constant."""
+    if all(e[1] for e in f.terms) and all(e[1] for e in g.terms):
+        return False
+    a, b = (Polynomial(h.spec, 1, {e[:1]: c for e, c in h.terms.items()})
+            for h in (f, g))
+    while not b.is_zero():
+        a, b = b, a.divmod_single(b)[1]
+    return a.total_degree() == 0
 
 
 def _reduce_generators(spec, polys, reduced):

@@ -36,6 +36,16 @@ def test_close_unipotent_cap_exceeded():
         close_group([Matrix.from_rows(Q, [[1, 1], [0, 1]])], cap=10 ** 4)
 
 
+def test_close_infinite_dihedral_cap_exceeded():
+    # two involutions of finite order whose product [[1, -2], [0, 1]] has
+    # infinite order: they generate the infinite dihedral group
+    s = Matrix.from_rows(Q, [[-1, 0], [0, 1]])
+    t = Matrix.from_rows(Q, [[-1, 2], [0, 1]])
+    assert s * s == t * t == Matrix.identity(Q, 2)
+    with pytest.raises(ClosureCapError):
+        close_group([s, t], cap=10 ** 3)
+
+
 def test_close_rejects_singular_generator():
     with pytest.raises(LinalgError):
         close_group([Matrix.from_rows(Q, [[1, 1], [1, 1]])])

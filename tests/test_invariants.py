@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from invforge.errors import BoundExceededError, ModularityError
+from invforge.errors import (BoundExceededError, CertificateError,
+                             ModularityError)
 from invforge.fields import FieldSpec
 from invforge.groups import close_group
-from invforge.invariants import (Relation, _kernel_cut, _monomial_images,
+from invforge.invariants import (GradedDims, Relation, _kernel_cut,
+                                 _monomial_images,
                                  _orbit_fixed_vectors, apply_matrix,
                                  check_presented_automorphism,
                                  cst_quotient_action, find_relation,
@@ -137,8 +139,9 @@ def test_minimal_generators_e8_multiplies_only_dense_scalars(monkeypatch):
 
 
 def test_minimal_generators_e8_reduced_products_within_budget(monkeypatch):
-    # degrees 31..120 are certified by products mod 41, and the dense
-    # generator's linear images are raised by the multinomial theorem
+    # the search stops at 30, degree 24 is certified by products mod 41,
+    # and the dense generator's linear images are raised by the multinomial
+    # theorem
     icosahedral = groups.load_group_file(
         os.path.join(corpus.DATA_DIR, "e8.group"))
     calls = [0]
@@ -190,8 +193,10 @@ def _count_spans(monkeypatch):
 
 
 def test_minimal_generators_e8_certifies_42_degrees_mod_41(monkeypatch):
+    # the search to |G| = 120, with the Cohen-Macaulay stop at 30 turned off
     icosahedral = groups.load_group_file(
         os.path.join(corpus.DATA_DIR, "e8.group"))
+    monkeypatch.setattr(invariants, "_cohen_macaulay_bound", lambda *args: None)
     spans, outcomes = _count_spans(monkeypatch)
     assert minimal_generators(icosahedral).degrees == [12, 20, 30]
     # 45 degrees in 1..120 have invariants; only 12, 20 and 30 run exactly
@@ -203,10 +208,12 @@ def test_minimal_generators_e8_certifies_42_degrees_mod_41(monkeypatch):
 
 def test_minimal_generators_fall_back_when_every_reduction_is_zero(monkeypatch):
     # a reduction that sends every coefficient to 0 certifies nothing: each
-    # degree with invariants runs the exact search, with the same output
+    # degree with invariants runs the exact search, with the same output;
+    # the search to |G| = 120, with the Cohen-Macaulay stop at 30 turned off
     icosahedral = groups.load_group_file(
         os.path.join(corpus.DATA_DIR, "e8.group"))
     want = minimal_generators(icosahedral).generators
+    monkeypatch.setattr(invariants, "_cohen_macaulay_bound", lambda *args: None)
     F = FieldSpec.finite_field(41)
     monkeypatch.setattr(invariants, "degree_one_reduction",
                         lambda spec, reps: (F, lambda rep: (0,)))
@@ -215,6 +222,58 @@ def test_minimal_generators_fall_back_when_every_reduction_is_zero(monkeypatch):
     assert minimal_generators(fresh).generators == want
     assert outcomes == [False] * 42
     assert spans.count(fresh.spec) == 45
+
+
+def test_minimal_generators_e8_stops_at_the_cohen_macaulay_bound(monkeypatch):
+    # f12 and f20 are coprime and Molien (1 - t^12)(1 - t^20) = 1 + t^30:
+    # the search and the Molien series stop at 30, the exact search runs at
+    # 12, 20 and 30 only, and 24 (f12^2) is the one degree certified mod 41
+    icosahedral = groups.load_group_file(
+        os.path.join(corpus.DATA_DIR, "e8.group"))
+    exact, certified = [], []
+    space, certify = invariants.invariant_space, invariants._spans_mod_p
+
+    def traced_space(g, d):
+        exact.append(d)
+        return space(g, d)
+
+    def traced_certify(reduced, expos, idx, target_dim):
+        certified.append((sum(next(iter(idx))), reduced[0]))
+        return certify(reduced, expos, idx, target_dim)
+
+    monkeypatch.setattr(invariants, "invariant_space", traced_space)
+    monkeypatch.setattr(invariants, "_spans_mod_p", traced_certify)
+    assert minimal_generators(icosahedral).degrees == [12, 20, 30]
+    assert len(icosahedral._cache["molien series"][1]) == 31
+    assert exact == [12, 20, 30]
+    assert certified == [(24, FieldSpec.finite_field(41))]
+
+
+def test_cohen_macaulay_bound_needs_a_coprime_pair():
+    # x^2 and x*y share x, x*y and y^2 share y (which y = 1 does not see);
+    # x^2 and y^2 bound the invariants of -I at 2, since
+    # Molien (1 - t^2)^2 = 1 + t^2
+    mi = close_group([Matrix.from_rows(Q, [[-1, 0], [0, -1]])])
+    x2, xy, y2 = (parse_polynomial(t, 2, Q) for t in ("x^2", "x*y", "y^2"))
+    assert invariants._cohen_macaulay_bound(mi, [x2, xy], 1) is None
+    assert invariants._cohen_macaulay_bound(mi, [xy, y2], 1) is None
+    assert invariants._cohen_macaulay_bound(mi, [x2, xy, y2], 1) == 2
+    assert minimal_generators(mi).degrees == [2, 2, 2]
+
+
+def test_wrong_molien_series_trips_the_certificate(monkeypatch):
+    mi = close_group([Matrix.from_rows(Q, [[-1, 0], [0, -1]])])
+    x2, y2 = parse_polynomial("x^2", 2, Q), parse_polynomial("y^2", 2, Q)
+    # the trivial group's series: N = 1 + 2t + t^2 counts 4 secondaries, not 2
+    monkeypatch.setattr(invariants, "molien_series",
+                        lambda g, d: GradedDims(range(1, d + 2)))
+    with pytest.raises(CertificateError, match="secondary"):
+        minimal_generators(mi)
+    # N = 1 - t^2 has a negative coefficient
+    monkeypatch.setattr(invariants, "molien_series",
+                        lambda g, d: GradedDims([1, 0, 1][:d + 1]))
+    with pytest.raises(CertificateError, match="secondary"):
+        invariants._cohen_macaulay_bound(mi, [x2, y2], 1)
 
 
 def test_default_degree_bound_refused_past_the_enumeration_bound():
@@ -231,9 +290,10 @@ def test_default_degree_bound_refused_past_the_enumeration_bound():
 
 def test_invariant_space_maps_only_the_running_support(monkeypatch):
     # orbit transport maps all d + 1 monomials under e8's diagonal
-    # generator; the dense generator maps only the 3, 5 or 7 that survive,
-    # whichever order the generators come in.  Its own e8, so that no
-    # earlier test's cached images decide the counts.
+    # generator, from the powers of its entries and with no substitution;
+    # the dense generator maps only the 3, 5 or 7 that survive, whichever
+    # order the generators come in.  Its own e8, so that no earlier test's
+    # cached images decide the counts.
     icosahedral = groups.load_group_file(
         os.path.join(corpus.DATA_DIR, "e8.group"))
     swapped = close_group(icosahedral.generators()[::-1])
@@ -245,7 +305,7 @@ def test_invariant_space_maps_only_the_running_support(monkeypatch):
         return original(self, rows)
 
     monkeypatch.setattr(Polynomial, "substitute_linear", counted)
-    for d, images in ((12, 16), (20, 26), (30, 38)):
+    for d, images in ((12, 3), (20, 5), (30, 7)):
         bases = []
         for g in (icosahedral, swapped):
             calls.clear()
@@ -382,18 +442,21 @@ def test_molien_examples(icosahedral):
 
 
 def test_molien_series_memo_truncates(monkeypatch):
-    # the series to the largest degree asked is kept: a smaller d_max runs
-    # no characteristic polynomial and equals a fresh computation
-    fresh = molien_series(corpus.load_corpus_group("q8.group"), 8)
-    g = corpus.load_corpus_group("q8.group")
-    molien_series(g, 20)
+    # the recurrences are kept: a smaller d_max is a truncation and a larger
+    # one extends them, with no characteristic polynomial taken again and
+    # the coefficients of a fresh series, on every characteristic-0 group
+    fresh = {name: molien_series(g, 40) for name, g in _char0_corpus_groups()}
+    cached = list(_char0_corpus_groups())
+    for _, g in cached:
+        molien_series(g, 3)
 
     def no_berkowitz(*args):
         pytest.fail("molien_series recomputed a characteristic polynomial")
 
     monkeypatch.setattr(invariants, "_berkowitz", no_berkowitz)
-    assert molien_series(g, 8) == fresh
-    assert molien_series(g, 20).dims[:9] == fresh.dims
+    for name, g in cached:
+        for d in (2, 40, 17, 4):
+            assert molien_series(g, d).dims == fresh[name].dims[:d + 1], (name, d)
 
 
 def test_molien_rejects_positive_characteristic(char2_group):

@@ -11,6 +11,7 @@ fixed by this substitution for every generator, in any characteristic.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import (CertificateError, FieldError, InvForgeError,
@@ -372,23 +373,11 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
     the modular case requires an explicit bound, and so does a group whose
     degree-|G| monomials exceed the enumeration bound.  In characteristic 0
     the Molien series prunes degrees that products of earlier generators
-    already fill.
-
-    Such a degree is certified full modulo a prime P of degree 1
-    (`degree_one_reduction`, picked again whenever a new generator is not
-    P-integral) before any exact product is built.  Reduction mod P is a
-    ring homomorphism on the P-integral elements, so the reduced products
-    are the products of the reduced generators, and a minor of their
-    coefficient matrix that is nonzero mod P is nonzero over K: rank_K >=
-    rank_P.  When rank_P reaches target = Molien[d] = dim of the degree-d
-    invariants >= rank_K, the products span them.  Otherwise (a new
-    generator is needed, or P is unlucky) the exact search below runs
-    unchanged, so the output does not depend on P.
-
-    For n = 2 in characteristic 0 the search stops earlier, at the bound
-    `_cohen_macaulay_bound` reads off the first coprime pair of
-    generators, and the Molien series is extended only as far as the
-    degrees it reaches.
+    already fill, and the search stops earlier, at the bound
+    `_cohen_macaulay_bound` reads off the first homogeneous system of
+    parameters among the generators (tested below the last degree only,
+    where a stop can still shorten the search); the series is extended only
+    as far as the degrees the search reaches.
     """
     p = group.spec.characteristic()
     modular = p != 0 and group.order % p == 0
@@ -403,23 +392,19 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
     check_degree_bound(d_max)
     gens = []
     power_cache = {}
-    reduced = None  # (F_p, reduce, generators mod P, their power cache)
-    stop = None  # the Cohen-Macaulay bound, once a coprime pair is found
+    reduced = None  # (F_p, reduce, generators mod P)
+    stop = d_max  # lowered once, to the Cohen-Macaulay bound of an hsop
     for d in range(1, d_max + 1):
-        if stop is not None and d > stop:
+        if d > stop:
             break
         target_dim = molien_series(group, d)[d] if p == 0 else None
         if target_dim == 0:
             continue
         basis_order = monomials(group.n, d)
         idx = {e: i for i, e in enumerate(basis_order)}
-        expos = weighted_monomials([dg for dg, _ in gens], d)
-        if (reduced is not None and len(expos) >= target_dim
-                and _spans_mod_p(reduced, expos, idx, target_dim)):
-            continue
         span = EchelonBasis(group.spec)
         polys = [f for _, f in gens]
-        for expo in expos:
+        for expo in weighted_monomials([dg for dg, _ in gens], d):
             span.insert(coefficient_vector(
                 _power_product(polys, expo, power_cache), idx))
         if target_dim is not None and len(span) == target_dim:
@@ -435,68 +420,81 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
             terms = {basis_order[i]: c for i, c in enumerate(normalized)
                      if not c.is_zero()}
             gens.append((d, Polynomial(group.spec, group.n, terms)))
-        if p == 0:
-            polys = [f for _, f in gens]
-            reduced = _reduce_generators(group.spec, polys, reduced)
-            if stop is None and group.n == 2:
-                stop = _cohen_macaulay_bound(group, polys, new)
+        if p == 0 and stop == d_max > d and len(gens) >= group.n:
+            reduced = _reduce_generators(group.spec, [f for _, f in gens], reduced)
+            if reduced is not None:
+                stop = _cohen_macaulay_bound(group, gens, new, reduced, d_max) or stop
     return GeneratorSet(group, gens, d_max)
 
 
-def _cohen_macaulay_bound(group, polys, new):
-    """A degree bound for the minimal generators of a binary group in
-    characteristic 0, from the first coprime pair (polys[j], polys[i]),
-    j < i, i >= new; None when no such pair is coprime.
+def _cohen_macaulay_bound(group, gens, new, reduced, d_max):
+    """A degree bound for the minimal generators in characteristic 0, from
+    the first n of the (degree, polynomial) pairs gens, one at index >= new,
+    whose reductions mod the P of `reduced` are an hsop; None if none are.
 
-    Two coprime binary invariants f_1, f_2 of degrees d_1, d_2 are a
-    homogeneous system of parameters, and the invariant ring is
-    Cohen-Macaulay (Hochster-Eagon), so it is free over k[f_1, f_2] on
-    secondaries whose degrees are the exponents of
-    N(t) = Molien(t) (1 - t^d_1)(1 - t^d_2), none above d_1 + d_2 - 2
-    (Stanley 1979).  Primaries and secondaries generate, so no minimal
-    generator lies above max(d_1, d_2, deg N).  The truncation of N to
-    degree d_1 + d_2 - 2 is checked at run time: its coefficients count
-    secondaries, so they are >= 0 and add up to their number
-    d_1 d_2 / |G|, else `CertificateError`.
+    Full rank mod P is full rank over K (a minor nonzero mod P is nonzero
+    over K); less proves nothing.  Only subsets with |G| dividing
+    prod d_i = [k(x) : k(f)] can be an hsop, and only those with D <= d_max
+    are tried, so the rank test has no more columns than a degree the search
+    may reach.  The ring is Cohen-Macaulay (Hochster-Eagon), so it is free
+    over k[f] on prod d_i / |G| secondaries whose degrees are the exponents
+    of N(t) = Molien(t) prod (1 - t^d_i), none above sum d_i - n (Stanley
+    1979).  Primaries and secondaries generate: the bound is max(d_i, deg N).
+    N up to degree sum d_i - n must be >= 0 and add up to prod d_i / |G|,
+    else `CertificateError`.
     """
-    for i in range(new, len(polys)):
-        for j in range(i):
-            if _coprime_binary_forms(polys[j], polys[i]):
-                d1, d2 = polys[j].total_degree(), polys[i].total_degree()
-                mol = molien_series(group, d1 + d2 - 2)
-                numer = [mol[k] - (mol[k - d1] if k >= d1 else 0)
-                         - (mol[k - d2] if k >= d2 else 0) for k in range(len(mol))]
-                if min(numer) < 0 or sum(numer) * group.order != d1 * d2:
-                    raise CertificateError(
-                        f"Molien series times (1 - t^{d1})(1 - t^{d2}) is not "
-                        f"a count of {d1 * d2}/{group.order} secondary invariants")
-                return max(d1, d2, max(k for k, c in enumerate(numer) if c))
+    n, (field, _, images) = group.n, reduced
+    check_enumeration_bound(math.comb(len(gens), n) - math.comb(new, n),
+                            "hsop candidate subset")
+    for i in range(new, len(gens)):
+        for rest in itertools.combinations(range(i), n - 1):
+            subset = rest + (i,)
+            ds = [gens[j][0] for j in subset]
+            product = math.prod(ds)
+            if (product % group.order or sum(ds) - n + 1 > d_max
+                    or not _is_hsop(field, ds, [images[j] for j in subset])):
+                continue
+            numer = list(molien_series(group, sum(ds) - n).dims)
+            for dj in ds:  # times 1 - t^dj, truncated
+                numer = [c - (numer[k - dj] if k >= dj else 0)
+                         for k, c in enumerate(numer)]
+            if min(numer) < 0 or sum(numer) * group.order != product:
+                factors = "".join(f"(1 - t^{dj})" for dj in ds)
+                raise CertificateError(
+                    f"Molien series times {factors} is not a count of "
+                    f"{product}/{group.order} secondary invariants")
+            return max(max(ds), max(k for k, c in enumerate(numer) if c))
     return None
 
 
-def _coprime_binary_forms(f, g):
-    """True iff the binary forms f, g have no common factor: the variable y
-    divides at most one of them, and Euclid's gcd of f(x, 1) and g(x, 1)
-    (one-variable `Polynomial`s, by `divmod_single`) is a constant."""
-    if all(e[1] for e in f.terms) and all(e[1] for e in g.terms):
-        return False
-    a, b = (Polynomial(h.spec, 1, {e[:1]: c for e, c in h.terms.items()})
-            for h in (f, g))
-    while not b.is_zero():
-        a, b = b, a.divmod_single(b)[1]
-    return a.total_degree() == 0
+def _is_hsop(field, degs, forms):
+    """True iff the n forms over `field` in n variables, of degrees degs, are
+    a homogeneous system of parameters: iff the products m * f_i, m of degree
+    D - d_i, span all monomials of degree D = sum (d_i - 1) + 1.  k[x]/(f)
+    is finite-dimensional iff it vanishes in degree D, since for an hsop its
+    Hilbert series prod (1 + t + .. + t^(d_i - 1)) has degree D - 1."""
+    n = len(forms)
+    top = sum(degs) - n + 1
+    idx = {e: k for k, e in enumerate(monomials(n, top))}
+    span = EchelonBasis(field)
+    for f, dg in zip(forms, degs):
+        for m in monomials(n, top - dg):
+            span.insert(coefficient_vector(Polynomial.monomial(field, n, m) * f, idx))
+            if len(span) == len(idx):
+                return True
+    return False
 
 
 def _reduce_generators(spec, polys, reduced):
-    """(F_p, reduce, polys mod P, power cache) at the prime P of `reduced`
-    while every generator is P-integral, else at a prime picked again over
-    all of them; None when there is no reduction."""
+    """(F_p, reduce, polys mod P) at the prime P of `reduced` while every
+    generator is P-integral, else at a prime picked again over all of
+    them; None when there is no reduction."""
     if reduced is not None:
-        field, reduce, images, cache = reduced
+        field, reduce, images = reduced
         try:
             images = images + [_reduce_polynomial(field, reduce, f)
                                for f in polys[len(images):]]
-            return field, reduce, images, cache
+            return field, reduce, images
         except FieldError:
             pass
     reduction = degree_one_reduction(
@@ -504,24 +502,12 @@ def _reduce_generators(spec, polys, reduced):
     if reduction is None:
         return None
     field, reduce = reduction
-    return field, reduce, [_reduce_polynomial(field, reduce, f) for f in polys], {}
+    return field, reduce, [_reduce_polynomial(field, reduce, f) for f in polys]
 
 
 def _reduce_polynomial(field, reduce, f):
     return Polynomial(field, f.nvars, {e: FieldElement(field, reduce(c.rep))
                                        for e, c in f.terms.items()})
-
-
-def _spans_mod_p(reduced, expos, idx, target_dim):
-    """True iff the products x^expo of the generators mod P span target_dim
-    dimensions; stops as soon as they do."""
-    field, _, polys, cache = reduced
-    span = EchelonBasis(field)
-    for expo in expos:
-        span.insert(coefficient_vector(_power_product(polys, expo, cache), idx))
-        if len(span) == target_dim:
-            return True
-    return False
 
 
 def _power_product(polys, expo, power_cache):

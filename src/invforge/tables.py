@@ -17,6 +17,8 @@ whose invariants `invariants._orbit_fixed_vectors` transports.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import (BoundExceededError, ClosureCapError, InvForgeError,
                      check_enumeration_bound)
 from .fields import _is_prime
@@ -285,10 +287,15 @@ def elementary_abelian_rank(group: IndexedGroup, ell, center):
         for idx, x in enumerate(pool):
             if depth + len(pool) - idx <= best:
                 return
-            charge(len(span) * (ell - 1))
-            grown = [rep[group.mult(s, xk)] for xk in powers[x] for s in span]
-            if not span.isdisjoint(grown) or (prime and min(grown) < x):
-                continue  # <S, x> is not S x <x>, or off the canonical chain
+            # the products stop at the first one in S (<S, x> is not S x <x>)
+            # or, for a prime ell, below x (off the canonical chain)
+            grown = list(itertools.takewhile(
+                lambda y: y not in span and (not prime or y >= x),
+                (rep[group.mult(s, xk)] for xk in powers[x] for s in span)))
+            full = len(span) * (ell - 1)
+            charge(min(len(grown) + 1, full))
+            if len(grown) < full:
+                continue
             if x not in commuting:
                 charge(2 * len(elems))
                 commuting[x] = {y for y in elems

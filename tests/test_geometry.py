@@ -17,7 +17,7 @@ from invforge.geometry import (ProjPoint, _multiplicative_generator,
 from invforge.groups import close_group
 from invforge.linalg import Matrix
 from invforge.poly import Polynomial, parse_polynomial
-from invforge import corpus, poly
+from invforge import corpus, groups, poly, tables
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.finite_field(2)
@@ -333,8 +333,9 @@ def _sign_group_file(tmp_path, n):
 @pytest.mark.parametrize("n, rank", [(7, 6), (8, None)])
 def test_rank_search_of_sign_groups_is_bounded(tmp_path, n, rank):
     # each elementary abelian subgroup of G/Z is visited once, along its
-    # canonical chain: n = 7 answers after 791,575 of the 10^6 products,
-    # and n = 8, with 127 involutions mod Z, is refused at the budget
+    # canonical chain: n = 7 answers after 230,218 of the 10^6 products,
+    # and n = 8, with 127 involutions mod Z, would need 5,573,287 and is
+    # refused at the budget
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", BOUNDED_CLI_SCRIPT, "rank",
                            "--group", _sign_group_file(tmp_path, n), "--ell", "2",
@@ -347,6 +348,21 @@ def test_rank_search_of_sign_groups_is_bounded(tmp_path, n, rank):
     else:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["outputs"]["rank"] == rank
+
+
+@pytest.mark.parametrize("n, rank, work", [(5, 4, 1_093), (6, 5, 13_358),
+                                            (7, 6, 230_218)])
+def test_rank_search_stops_a_candidate_at_its_first_rejected_product(
+        tmp_path, monkeypatch, n, rank, work):
+    # a candidate's coset products stop at the first one in S or below x:
+    # 791,575 products on n = 7 when all |S| (ell - 1) were built first
+    charged = []
+    check = tables.check_enumeration_bound
+    monkeypatch.setattr(tables, "check_enumeration_bound",
+                        lambda size, what: (charged.append(size), check(size, what)))
+    g = groups.load_group_file(_sign_group_file(tmp_path, n))
+    assert rank_obstruction(g, 2).rank == rank
+    assert charged[-1] == work
 
 
 def test_translate_budget_counts_the_squaring_products(monkeypatch):

@@ -139,9 +139,8 @@ def test_minimal_generators_e8_multiplies_only_dense_scalars(monkeypatch):
 
 
 def test_minimal_generators_e8_reduced_products_within_budget(monkeypatch):
-    # the search stops at 30, degree 24 is certified by products mod 41,
-    # and the dense generator's linear images are raised by the multinomial
-    # theorem
+    # the search stops at 30, and the dense generator's linear images are
+    # raised by the multinomial theorem
     icosahedral = groups.load_group_file(
         os.path.join(corpus.DATA_DIR, "e8.group"))
     calls = [0]
@@ -165,115 +164,209 @@ def _char0_corpus_groups():
                 yield name, g
 
 
-def test_minimal_generators_match_the_exact_search(monkeypatch):
-    certified = {name: minimal_generators(g).generators
-                 for name, g in _char0_corpus_groups()}
-    assert len(certified) == 16
+def _traced_bounds(monkeypatch):
+    """The values `_cohen_macaulay_bound` returns in one run."""
+    bounds, bound = [], invariants._cohen_macaulay_bound
+
+    def traced(*args):
+        bounds.append(bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(invariants, "_cohen_macaulay_bound", traced)
+    return bounds
+
+
+def _traced_spaces(monkeypatch):
+    """The degrees `invariant_space` is asked for in one run."""
+    asked, space = [], invariants.invariant_space
+
+    def traced(g, d):
+        asked.append(d)
+        return space(g, d)
+
+    monkeypatch.setattr(invariants, "invariant_space", traced)
+    return asked
+
+
+def test_minimal_generators_same_with_the_stop_off(monkeypatch):
+    # with no reduction there is no hsop test and the search runs to |G|
+    stopped = {name: minimal_generators(g).generators
+               for name, g in _char0_corpus_groups()}
+    assert len(stopped) == 16
     monkeypatch.setattr(invariants, "degree_one_reduction", lambda spec, reps: None)
+    bounds = _traced_bounds(monkeypatch)
     for name, g in _char0_corpus_groups():
-        assert minimal_generators(g).generators == certified[name], name
-
-
-def _count_spans(monkeypatch):
-    """The EchelonBasis fields of one run, and the certificates' outcomes."""
-    spans, outcomes = [], []
-    basis, certify = invariants.EchelonBasis, invariants._spans_mod_p
-
-    def counted_basis(spec):
-        spans.append(spec)
-        return basis(spec)
-
-    def counted_certify(*args):
-        outcomes.append(certify(*args))
-        return outcomes[-1]
-
-    monkeypatch.setattr(invariants, "EchelonBasis", counted_basis)
-    monkeypatch.setattr(invariants, "_spans_mod_p", counted_certify)
-    return spans, outcomes
-
-
-def test_minimal_generators_e8_certifies_42_degrees_mod_41(monkeypatch):
-    # the search to |G| = 120, with the Cohen-Macaulay stop at 30 turned off
-    icosahedral = groups.load_group_file(
-        os.path.join(corpus.DATA_DIR, "e8.group"))
-    monkeypatch.setattr(invariants, "_cohen_macaulay_bound", lambda *args: None)
-    spans, outcomes = _count_spans(monkeypatch)
-    assert minimal_generators(icosahedral).degrees == [12, 20, 30]
-    # 45 degrees in 1..120 have invariants; only 12, 20 and 30 run exactly
-    assert sum(1 for d in molien_series(icosahedral, 120).dims[1:] if d) == 45
-    assert outcomes == [True] * 42
-    assert [s for s in spans if s != icosahedral.spec] == [FieldSpec.finite_field(41)] * 42
-    assert spans.count(icosahedral.spec) == 3
+        assert minimal_generators(g).generators == stopped[name], name
+    assert bounds == []
 
 
 def test_minimal_generators_fall_back_when_every_reduction_is_zero(monkeypatch):
-    # a reduction that sends every coefficient to 0 certifies nothing: each
-    # degree with invariants runs the exact search, with the same output;
-    # the search to |G| = 120, with the Cohen-Macaulay stop at 30 turned off
-    icosahedral = groups.load_group_file(
-        os.path.join(corpus.DATA_DIR, "e8.group"))
-    want = minimal_generators(icosahedral).generators
-    monkeypatch.setattr(invariants, "_cohen_macaulay_bound", lambda *args: None)
+    # a reduction that sends every coefficient to 0 certifies no hsop: the
+    # search runs to |G| = 120 on e8 and to 12 on a4perm, with the same output
+    want = {name: minimal_generators(
+        groups.load_group_file(os.path.join(corpus.DATA_DIR, name)))
+        for name in ("e8.group", "a4perm.group")}
     F = FieldSpec.finite_field(41)
     monkeypatch.setattr(invariants, "degree_one_reduction",
                         lambda spec, reps: (F, lambda rep: (0,)))
-    spans, outcomes = _count_spans(monkeypatch)
-    fresh = groups.load_group_file(os.path.join(corpus.DATA_DIR, "e8.group"))
-    assert minimal_generators(fresh).generators == want
-    assert outcomes == [False] * 42
-    assert spans.count(fresh.spec) == 45
+    bounds = _traced_bounds(monkeypatch)
+    for name, gs in want.items():
+        fresh = groups.load_group_file(os.path.join(corpus.DATA_DIR, name))
+        got = minimal_generators(fresh)
+        assert (got.generators, got.e, got.d_max) == (gs.generators, gs.e, gs.d_max)
+        assert len(fresh._cache["molien series"][1]) == fresh.order + 1
+    assert bounds and set(bounds) == {None}
 
 
 def test_minimal_generators_e8_stops_at_the_cohen_macaulay_bound(monkeypatch):
-    # f12 and f20 are coprime and Molien (1 - t^12)(1 - t^20) = 1 + t^30:
-    # the search and the Molien series stop at 30, the exact search runs at
-    # 12, 20 and 30 only, and 24 (f12^2) is the one degree certified mod 41
+    # f12 and f20 are an hsop and Molien (1 - t^12)(1 - t^20) = 1 + t^30:
+    # the search and the Molien series stop at 30, and the exact search
+    # runs at 12, 20 and 30 only
     icosahedral = groups.load_group_file(
         os.path.join(corpus.DATA_DIR, "e8.group"))
-    exact, certified = [], []
-    space, certify = invariants.invariant_space, invariants._spans_mod_p
-
-    def traced_space(g, d):
-        exact.append(d)
-        return space(g, d)
-
-    def traced_certify(reduced, expos, idx, target_dim):
-        certified.append((sum(next(iter(idx))), reduced[0]))
-        return certify(reduced, expos, idx, target_dim)
-
-    monkeypatch.setattr(invariants, "invariant_space", traced_space)
-    monkeypatch.setattr(invariants, "_spans_mod_p", traced_certify)
+    exact = _traced_spaces(monkeypatch)
+    bounds = _traced_bounds(monkeypatch)
     assert minimal_generators(icosahedral).degrees == [12, 20, 30]
     assert len(icosahedral._cache["molien series"][1]) == 31
     assert exact == [12, 20, 30]
-    assert certified == [(24, FieldSpec.finite_field(41))]
+    assert bounds == [30]
 
 
-def test_cohen_macaulay_bound_needs_a_coprime_pair():
+def test_hsop_test_skips_the_last_degree(monkeypatch):
+    # an-split-5 finds its coprime pair of quintics at d = |G| = 5, where
+    # the search ends anyway; e8 to 20 finds f20 at its last degree, so
+    # Molien is not extended to 30
+    bounds = _traced_bounds(monkeypatch)
+    assert minimal_generators(corpus.load_corpus_group("an-split-5.group")).degrees == [2, 5, 5]
+    assert bounds == []
+    icosahedral = groups.load_group_file(
+        os.path.join(corpus.DATA_DIR, "e8.group"))
+    assert minimal_generators(icosahedral, 20).degrees == [12, 20]
+    assert len(icosahedral._cache["molien series"][1]) == 21
+    assert bounds == []
+
+
+@pytest.mark.parametrize("name, stop, degrees", [
+    # e1, e2, e3 plus the A4 generator e4 (degree product 24 = 2 |G|): the
+    # secondaries are 1 and the Vandermonde, of degree 6
+    ("a4perm.group", 6, [1, 2, 3, 4, 6]),
+    # the power sums of degrees 1, 2, 3 are primaries with N = 1
+    ("s3perm.group", 3, [1, 2, 3]),
+])
+def test_minimal_generators_stop_for_three_and_more_variables(monkeypatch, name,
+                                                              stop, degrees):
+    g = groups.load_group_file(os.path.join(corpus.DATA_DIR, name))
+    asked = _traced_spaces(monkeypatch)
+    bounds = _traced_bounds(monkeypatch)
+    assert minimal_generators(g).degrees == degrees
+    assert bounds == [stop]
+    assert max(asked) == stop
+    assert len(g._cache["molien series"][1]) == stop + 1
+
+
+def _coprime_reference(f, g):
+    """True iff the binary forms f, g have no common factor: the variable y
+    divides at most one of them, and Euclid's gcd of f(x, 1) and g(x, 1)
+    (one-variable `Polynomial`s, by `divmod_single`) is a constant."""
+    if all(e[1] for e in f.terms) and all(e[1] for e in g.terms):
+        return False
+    a, b = (Polynomial(h.spec, 1, {e[:1]: c for e, c in h.terms.items()})
+            for h in (f, g))
+    while not b.is_zero():
+        a, b = b, a.divmod_single(b)[1]
+    return a.total_degree() == 0
+
+
+def test_binary_hsop_rank_matches_euclid():
+    # for n = 2 the rank test is the Sylvester matrix: over K full rank is
+    # coprimality, and full rank mod P implies it
+    pairs = unlucky = 0
+    for name, g in _char0_corpus_groups():
+        if g.n != 2:
+            continue
+        gs = minimal_generators(g)
+        field, _, images = invariants._reduce_generators(g.spec, gs.polynomials, None)
+        for i, j in itertools.combinations(range(len(gs)), 2):
+            degs = [gs.degrees[i], gs.degrees[j]]
+            coprime = _coprime_reference(gs.polynomials[i], gs.polynomials[j])
+            assert invariants._is_hsop(
+                g.spec, degs, [gs.polynomials[i], gs.polynomials[j]]) == coprime
+            if invariants._is_hsop(field, degs, [images[i], images[j]]):
+                assert coprime, (name, i, j)
+            elif coprime:
+                unlucky += 1
+            pairs += 1
+    assert pairs == 23 and unlucky == 1
+
+
+def test_unlucky_prime_gives_no_bound():
+    # an-nonsplit's quadric and first cubic are coprime, but their
+    # Sylvester matrix drops rank mod 3: that pair certifies nothing, and
+    # the other cubic's pair does
+    g = corpus.load_corpus_group("an-nonsplit.group")
+    gs = minimal_generators(g)
+    assert gs.degrees == [2, 3, 3]
+    f2, f3, g3 = gs.generators
+    assert _coprime_reference(f2[1], f3[1])
+    reduced = invariants._reduce_generators(g.spec, [f2[1], f3[1]], None)
+    assert reduced[0] == FieldSpec.finite_field(3)
+    assert invariants._cohen_macaulay_bound(g, [f2, f3], 1, reduced, 9) is None
+    reduced = invariants._reduce_generators(g.spec, gs.polynomials, reduced)
+    # Molien (1 - t^2)(1 - t^3) = 1 + t^3: two secondaries, 2 * 3 / 3
+    assert invariants._cohen_macaulay_bound(g, list(gs.generators), 1, reduced, 9) == 3
+
+
+def test_cohen_macaulay_bound_needs_an_hsop():
     # x^2 and x*y share x, x*y and y^2 share y (which y = 1 does not see);
     # x^2 and y^2 bound the invariants of -I at 2, since
-    # Molien (1 - t^2)^2 = 1 + t^2
+    # Molien (1 - t^2)^2 = 1 + t^2; D = 3 past d_max = 2 skips the test
     mi = close_group([Matrix.from_rows(Q, [[-1, 0], [0, -1]])])
-    x2, xy, y2 = (parse_polynomial(t, 2, Q) for t in ("x^2", "x*y", "y^2"))
-    assert invariants._cohen_macaulay_bound(mi, [x2, xy], 1) is None
-    assert invariants._cohen_macaulay_bound(mi, [xy, y2], 1) is None
-    assert invariants._cohen_macaulay_bound(mi, [x2, xy, y2], 1) == 2
+    x2, xy, y2 = ((2, parse_polynomial(t, 2, Q)) for t in ("x^2", "x*y", "y^2"))
+
+    def bound(gens, d_max=4):
+        reduced = invariants._reduce_generators(Q, [f for _, f in gens], None)
+        return invariants._cohen_macaulay_bound(mi, gens, 1, reduced, d_max)
+
+    assert bound([x2, xy]) is None
+    assert bound([xy, y2]) is None
+    assert bound([x2, xy, y2]) == 2
+    assert bound([x2, xy, y2], d_max=2) is None
     assert minimal_generators(mi).degrees == [2, 2, 2]
+
+
+def test_non_hsop_triple_gives_no_bound():
+    # x1, x2, x1*x3 all vanish on the x3-axis, so k[x]/(f) is infinite:
+    # their degree-2 products miss x3^2.  x1, x2, x3^2 are an hsop of the
+    # invariants of diag(1, 1, -1), a polynomial ring (N = 1)
+    g = close_group([Matrix.from_rows(Q, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])])
+    x1, x2, x1x3, x3sq = (parse_polynomial(t, 3, Q)
+                          for t in ("x1", "x2", "x1*x3", "x3^2"))
+    for third, want in ((x1x3, None), (x3sq, 2)):
+        gens = [(1, x1), (1, x2), (2, third)]
+        reduced = invariants._reduce_generators(Q, [f for _, f in gens], None)
+        assert invariants._cohen_macaulay_bound(g, gens, 2, reduced, 6) == want
+    assert minimal_generators(g).degrees == [1, 1, 2]
 
 
 def test_wrong_molien_series_trips_the_certificate(monkeypatch):
     mi = close_group([Matrix.from_rows(Q, [[-1, 0], [0, -1]])])
-    x2, y2 = parse_polynomial("x^2", 2, Q), parse_polynomial("y^2", 2, Q)
+    x2, y2 = ((2, parse_polynomial(t, 2, Q)) for t in ("x^2", "y^2"))
+    trivial = lambda n: (lambda g, d: GradedDims(
+        [math.comb(k + n - 1, n - 1) for k in range(d + 1)]))
     # the trivial group's series: N = 1 + 2t + t^2 counts 4 secondaries, not 2
-    monkeypatch.setattr(invariants, "molien_series",
-                        lambda g, d: GradedDims(range(1, d + 2)))
+    monkeypatch.setattr(invariants, "molien_series", trivial(2))
     with pytest.raises(CertificateError, match="secondary"):
-        minimal_generators(mi)
-    # N = 1 - t^2 has a negative coefficient
+        minimal_generators(mi, 4)
+    # n = 3: N = (1 + t)(1 + t + t^2) counts 6 secondaries of S3, not 1
+    monkeypatch.setattr(invariants, "molien_series", trivial(3))
+    with pytest.raises(CertificateError, match=r"\(1 - t\^3\) is not a count of 6/6"):
+        minimal_generators(corpus.load_corpus_group("s3perm.group"))
+    # N = 1 + 2t - t^2 adds up to 2 but has a negative coefficient
     monkeypatch.setattr(invariants, "molien_series",
-                        lambda g, d: GradedDims([1, 0, 1][:d + 1]))
+                        lambda g, d: GradedDims([1, 2, 1][:d + 1]))
+    reduced = invariants._reduce_generators(Q, [x2[1], y2[1]], None)
     with pytest.raises(CertificateError, match="secondary"):
-        invariants._cohen_macaulay_bound(mi, [x2, y2], 1)
+        invariants._cohen_macaulay_bound(mi, [x2, y2], 1, reduced, 4)
 
 
 def test_default_degree_bound_refused_past_the_enumeration_bound():

@@ -1,10 +1,12 @@
 """Every exhaustive enumeration is bounded before it starts.
 
 A function under src/invforge that walks `itertools.product` (a Cartesian
-power: field points, cocycle assignments, grid points) must also call
-`check_enumeration_bound`, which refuses with BoundExceededError when the
-walk would exceed ENUMERATION_BOUND.  The only exception is listed below
-with its reason.
+power: field points, cocycle assignments, grid points), `combinations`,
+`permutations` or `combinations_with_replacement` (subsets and
+arrangements, such as the hsop candidates of the generator search) must
+also call `check_enumeration_bound`, which refuses with BoundExceededError
+when the walk would exceed ENUMERATION_BOUND.  The only exception is
+listed below with its reason.
 """
 
 import ast
@@ -22,6 +24,8 @@ EXCEPTIONS = {
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+ENUMERATORS = ("product", "combinations", "permutations",
+               "combinations_with_replacement")
 
 
 def _called_names(fn):
@@ -38,13 +42,15 @@ def _called_names(fn):
 
 
 def _unbounded(label, text):
-    """'label:line name' for each function that calls itertools.product
-    (or a bare `product` imported from itertools) without the helper."""
+    """'label:line name' for each function that calls one of the
+    ENUMERATORS as itertools.<name> (or bare, imported from itertools)
+    without the helper."""
     tree = ast.parse(text, filename=label)
-    products = {"itertools.product"}
+    products = {f"itertools.{name}" for name in ENUMERATORS}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "itertools":
-            products |= {a.asname or a.name for a in node.names if a.name == "product"}
+            products |= {a.asname or a.name for a in node.names
+                         if a.name in ENUMERATORS}
     out = []
     for fn in ast.walk(tree):
         if not isinstance(fn, FUNCTIONS) or fn.name in EXCEPTIONS:
@@ -84,6 +90,19 @@ def test_exceptions_still_exist():
     ("import itertools\ndef _invertible_combination(s):\n"
      "    return itertools.product(s)\n", []),
     ("def f(s):\n    return [(a, b) for a in s for b in s]\n", []),
+    ("import itertools\ndef f(s):\n    return list(itertools.combinations(s, 3))\n",
+     ["lib.py:2 f"]),
+    ("import itertools\ndef f(s):\n    return itertools.permutations(s)\n",
+     ["lib.py:2 f"]),
+    ("import itertools\ndef f(s):\n"
+     "    return itertools.combinations_with_replacement(s, 2)\n", ["lib.py:2 f"]),
+    ("from itertools import combinations, permutations as perms\n"
+     "def f(s):\n    return combinations(s, 2)\n"
+     "def g(s):\n    return perms(s)\n", ["lib.py:2 f", "lib.py:4 g"]),
+    ("import itertools, math\ndef f(s, n):\n"
+     "    check_enumeration_bound(math.comb(len(s), n), 'x')\n"
+     "    return itertools.combinations(s, n)\n", []),
+    ("import itertools\ndef f(s):\n    return itertools.chain(s, s)\n", []),
 ])
 def test_unbounded_detector(source, flagged):
     assert _unbounded("lib.py", source) == flagged

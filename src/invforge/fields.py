@@ -687,7 +687,7 @@ def _reduced(t, d):
     return (t, d) if g == 1 else (tuple([x // g for x in t]), d // g)
 
 
-def degree_one_reduction(spec, reps):
+def degree_one_reduction(spec, reps, skip=1):
     """(F_p, reduce) at a prime P of degree 1 of the number field `spec`;
     None over F_q, which needs no reduction.
 
@@ -695,7 +695,8 @@ def degree_one_reduction(spec, reps):
     the representatives.  p is the least prime >= 3 that does not divide
     disc(m') (so m' is squarefree mod p, p is unramified and Z[z'] is
     p-maximal), at which m' has a root mod p (r, the least one), and that
-    divides no denominator of the representatives `reps`.  Such p exist
+    divides neither a denominator of the representatives `reps` nor the
+    integer `skip` (|G| for a group order prime to p).  Such p exist
     beyond every bound (Schur: a nonconstant integer polynomial has roots
     modulo infinitely many primes), so the search ends.  P = (p, z' - r)
     has residue field F_p, and reduce((t, d)) = sum t_k r^k / d mod p is a
@@ -710,7 +711,7 @@ def degree_one_reduction(spec, reps):
         tuple(-(k + 1) * tail[k + 1] for k in range(m - 1)) + (m,))[1]
     dens = {d for _, d in reps}
     for p in itertools.count(3):
-        if _is_prime(p) and disc % p and all(d % p for d in dens):
+        if _is_prime(p) and disc % p and skip % p and all(d % p for d in dens):
             r = next((r for r in range(p) if (pow(r, m, p) - sum(
                 t * pow(r, k, p) for k, t in enumerate(tail))) % p == 0), None)
             if r is not None:

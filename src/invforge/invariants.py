@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 from .errors import (CertificateError, FieldError, InvForgeError,
                      ModularityError, check_enumeration_bound)
@@ -99,6 +100,7 @@ def invariant_space(group: FiniteMatrixGroup, d):
     with one kernel, mapping only the monomials in the basis's support.
     Both read the monomial images from `_monomial_images`, which builds
     rho_d(gen) from the rho_(d-1)(gen) of the previous call when it can.
+    Only `spec`, `n`, `generators()` and `_cache` of group are read.
     """
     if d < 0:
         raise InvForgeError("degree must be >= 0")
@@ -263,8 +265,30 @@ def check_degree_bound(d_max):
 
 
 def hilbert_dims(group: FiniteMatrixGroup, d_max) -> GradedDims:
+    """dim of the degree-d invariants, d = 0 .. d_max.
+
+    In characteristic 0, counted by `invariant_space` on the generators mod
+    a degree-1 prime P, p prime to |G| (Kemper and Steel 1999): dim_P >=
+    dim_K, as a minor nonzero mod P is nonzero over K, and they are equal,
+    as the Reynolds idempotent over O_P reduces to one of the same rank.  A
+    dim_P is taken where it is the Molien coefficient; elsewhere the exact
+    `invariant_space` over K decides."""
     check_degree_bound(d_max)
-    return GradedDims([len(invariant_space(group, d)) for d in range(d_max + 1)])
+    gens = group.generators()
+    reduction = degree_one_reduction(
+        group.spec, [c.rep for g in gens for row in g.entries for c in row],
+        group.order)
+    if reduction is None:
+        return GradedDims([len(invariant_space(group, d)) for d in range(d_max + 1)])
+    field, reduce = reduction
+    images = [Matrix(field, [[FieldElement(field, reduce(c.rep)) for c in row]
+                             for row in g.entries]) for g in gens]
+    mod_p = types.SimpleNamespace(spec=field, n=group.n, _cache={},
+                                  generators=lambda: images)
+    molien = molien_series(group, d_max)
+    dims = [len(invariant_space(mod_p, d)) for d in range(d_max + 1)]
+    return GradedDims([dim if dim == molien[d] else len(invariant_space(group, d))
+                       for d, dim in enumerate(dims)])
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +454,8 @@ def minimal_generators(group: FiniteMatrixGroup, d_max=None) -> GeneratorSet:
 def _cohen_macaulay_bound(group, gens, new, reduced, d_max):
     """A degree bound for the minimal generators in characteristic 0, from
     the first n of the (degree, polynomial) pairs gens, one at index >= new,
-    whose reductions mod the P of `reduced` are an hsop; None if none are.
+    whose reductions mod the P of `reduced`, or else mod the least other
+    degree-1 prime, are an hsop; None if none are.
 
     Full rank mod P is full rank over K (a minor nonzero mod P is nonzero
     over K); less proves nothing.  Only subsets with |G| dividing
@@ -451,9 +476,15 @@ def _cohen_macaulay_bound(group, gens, new, reduced, d_max):
             subset = rest + (i,)
             ds = [gens[j][0] for j in subset]
             product = math.prod(ds)
-            if (product % group.order or sum(ds) - n + 1 > d_max
-                    or not _is_hsop(field, ds, [images[j] for j in subset])):
+            if product % group.order or sum(ds) - n + 1 > d_max:
                 continue
+            if not _is_hsop(field, ds, [images[j] for j in subset]):
+                # an unlucky P is retried once, at another degree-1 prime
+                retry, _, again = _reduce_generators(
+                    group.spec, [gens[j][1] for j in subset], None,
+                    field.characteristic())
+                if not _is_hsop(retry, ds, again):
+                    continue
             numer = list(molien_series(group, sum(ds) - n).dims)
             for dj in ds:  # times 1 - t^dj, truncated
                 numer = [c - (numer[k - dj] if k >= dj else 0)
@@ -485,10 +516,10 @@ def _is_hsop(field, degs, forms):
     return False
 
 
-def _reduce_generators(spec, polys, reduced):
+def _reduce_generators(spec, polys, reduced, skip=1):
     """(F_p, reduce, polys mod P) at the prime P of `reduced` while every
     generator is P-integral, else at a prime picked again over all of
-    them; None when there is no reduction."""
+    them, p not dividing skip; None when there is no reduction."""
     if reduced is not None:
         field, reduce, images = reduced
         try:
@@ -498,7 +529,7 @@ def _reduce_generators(spec, polys, reduced):
         except FieldError:
             pass
     reduction = degree_one_reduction(
-        spec, [c.rep for f in polys for c in f.terms.values()])
+        spec, [c.rep for f in polys for c in f.terms.values()], skip)
     if reduction is None:
         return None
     field, reduce = reduction

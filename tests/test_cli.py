@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,6 +291,23 @@ def test_machine_roundtrip_lossless(capsys):
                            "--n", "2", "--machine")
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_permuted_m7_hilbert_within_a_wall_time_cap():
+    # m7 in reversed coordinates grew 333-bit integers by degree 14 in the
+    # exact elimination over Q(sqrt(-7)), 6.5 s to degree 16 on 2 vCPUs;
+    # counted mod P and certified by Molien it is about 0.4 s, with the
+    # dims of the shipped m7
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "invforge.cli", "hilbert", "--group",
+         os.path.join(ROOT, "tests", "data", "m7-permuted.group"),
+         "--max-degree", "16", "--machine"],
+        capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 4
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"]["dims"] == [
+        1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13, 15, 18, 19, 21]
 
 
 def test_cli_entry_point_subprocess():

@@ -22,6 +22,7 @@ from invforge.poly import Polynomial, _poly_of_int_terms, parse_polynomial
 from invforge import corpus, fields, groups, invariants
 
 Q = FieldSpec.rationals()
+M7_DIMS = (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +100,15 @@ def test_hilbert_dims_m7_eliminates_only_in_kernels(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Matrix, "rref", counted)
-    assert hilbert_dims(g, 12).dims == (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
+    assert hilbert_dims(g, 12).dims == M7_DIMS
     assert len(calls) == 22
 
 
-def test_hilbert_dims_m7_combines_on_the_free_columns_only(monkeypatch):
+def test_m7_invariant_space_combines_on_the_free_columns_only(monkeypatch):
     # EchelonBasis stores its rows without their pivot columns, so each
-    # elimination step touches n - rank entries (412,877 on all n columns)
-    g = corpus.load_corpus_group("m7.group")
+    # elimination step touches n - rank entries (412,877 on all n columns);
+    # the exact spaces over Q(sqrt(-7)), which hilbert_dims counts mod P
+    g = groups.load_group_file(os.path.join(corpus.DATA_DIR, "m7.group"))
     entries = [0]
     kind = type(g.spec)
     original = kind._row_combine
@@ -116,7 +118,7 @@ def test_hilbert_dims_m7_combines_on_the_free_columns_only(monkeypatch):
         return original(self, D, row, F, piv)
 
     monkeypatch.setattr(kind, "_row_combine", counted)
-    assert hilbert_dims(g, 12).dims == (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
+    assert tuple(len(invariant_space(g, d)) for d in range(13)) == M7_DIMS
     assert entries[0] < 150_000
 
 
@@ -177,11 +179,13 @@ def _traced_bounds(monkeypatch):
 
 
 def _traced_spaces(monkeypatch):
-    """The degrees `invariant_space` is asked for in one run."""
+    """The degrees `invariant_space` is asked for in one run on a matrix
+    group itself, not on its generators mod P."""
     asked, space = [], invariants.invariant_space
 
     def traced(g, d):
-        asked.append(d)
+        if isinstance(g, groups.FiniteMatrixGroup):
+            asked.append(d)
         return space(g, d)
 
     monkeypatch.setattr(invariants, "invariant_space", traced)
@@ -193,7 +197,8 @@ def test_minimal_generators_same_with_the_stop_off(monkeypatch):
     stopped = {name: minimal_generators(g).generators
                for name, g in _char0_corpus_groups()}
     assert len(stopped) == 16
-    monkeypatch.setattr(invariants, "degree_one_reduction", lambda spec, reps: None)
+    monkeypatch.setattr(invariants, "degree_one_reduction",
+                        lambda spec, reps, skip=1: None)
     bounds = _traced_bounds(monkeypatch)
     for name, g in _char0_corpus_groups():
         assert minimal_generators(g).generators == stopped[name], name
@@ -208,7 +213,7 @@ def test_minimal_generators_fall_back_when_every_reduction_is_zero(monkeypatch):
         for name in ("e8.group", "a4perm.group")}
     F = FieldSpec.finite_field(41)
     monkeypatch.setattr(invariants, "degree_one_reduction",
-                        lambda spec, reps: (F, lambda rep: (0,)))
+                        lambda spec, reps, skip=1: (F, lambda rep: (0,)))
     bounds = _traced_bounds(monkeypatch)
     for name, gs in want.items():
         fresh = groups.load_group_file(os.path.join(corpus.DATA_DIR, name))
@@ -299,10 +304,10 @@ def test_binary_hsop_rank_matches_euclid():
     assert pairs == 23 and unlucky == 1
 
 
-def test_unlucky_prime_gives_no_bound():
+def test_unlucky_prime_is_retried_at_the_next_prime(monkeypatch):
     # an-nonsplit's quadric and first cubic are coprime, but their
-    # Sylvester matrix drops rank mod 3: that pair certifies nothing, and
-    # the other cubic's pair does
+    # Sylvester matrix drops rank mod 3: the pair is certified at the next
+    # degree-1 prime, 5, as the full set is
     g = corpus.load_corpus_group("an-nonsplit.group")
     gs = minimal_generators(g)
     assert gs.degrees == [2, 3, 3]
@@ -310,9 +315,17 @@ def test_unlucky_prime_gives_no_bound():
     assert _coprime_reference(f2[1], f3[1])
     reduced = invariants._reduce_generators(g.spec, [f2[1], f3[1]], None)
     assert reduced[0] == FieldSpec.finite_field(3)
-    assert invariants._cohen_macaulay_bound(g, [f2, f3], 1, reduced, 9) is None
-    reduced = invariants._reduce_generators(g.spec, gs.polynomials, reduced)
+    verdicts, is_hsop = [], invariants._is_hsop
+
+    def traced(field, degs, forms):
+        verdicts.append((field.characteristic(), is_hsop(field, degs, forms)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(invariants, "_is_hsop", traced)
     # Molien (1 - t^2)(1 - t^3) = 1 + t^3: two secondaries, 2 * 3 / 3
+    assert invariants._cohen_macaulay_bound(g, [f2, f3], 1, reduced, 9) == 3
+    assert verdicts == [(3, False), (5, True)]
+    reduced = invariants._reduce_generators(g.spec, gs.polynomials, reduced)
     assert invariants._cohen_macaulay_bound(g, list(gs.generators), 1, reduced, 9) == 3
 
 
@@ -451,7 +464,7 @@ def test_hilbert_dims_m7_substitutes_only_at_degree_one(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute_linear", counted_substitute)
     monkeypatch.setattr(invariants, "combine_rows", counted_combine)
-    assert hilbert_dims(g, 12).dims == (1, 0, 0, 1, 3, 3, 4, 6, 6, 7, 9, 12, 13)
+    assert hilbert_dims(g, 12).dims == M7_DIMS
     assert calls["substitute_linear"] <= 3
     assert calls["combine_rows"] == 0
 
@@ -555,6 +568,52 @@ def test_molien_series_memo_truncates(monkeypatch):
 def test_molien_rejects_positive_characteristic(char2_group):
     with pytest.raises(ModularityError):
         molien_series(char2_group, 4)
+
+
+def test_hilbert_dims_mod_p_equal_the_exact_dims(monkeypatch):
+    # every degree is counted mod P and certified by Molien: no exact
+    # elimination runs on any characteristic-0 corpus group
+    want = {name: [len(invariant_space(g, d)) for d in range(13)]
+            for name, g in _char0_corpus_groups()}
+    assert len(want) == 16
+    exact = _traced_spaces(monkeypatch)
+    for name, g in _char0_corpus_groups():
+        assert list(hilbert_dims(g, 12).dims) == want[name], name
+    assert exact == []
+
+
+def test_hilbert_dims_exact_where_molien_disagrees(monkeypatch):
+    # a wrong Molien coefficient certifies nothing: that degree is the
+    # exact space's, and the true dims come back
+    m7 = corpus.load_corpus_group("m7.group")
+    wrong = M7_DIMS[:7] + (M7_DIMS[7] + 1,) + M7_DIMS[8:]
+    monkeypatch.setattr(invariants, "molien_series",
+                        lambda g, d: GradedDims(wrong[:d + 1]))
+    exact = _traced_spaces(monkeypatch)
+    assert hilbert_dims(m7, 12).dims == M7_DIMS
+    assert exact == [7]
+
+
+def test_hilbert_dims_refuse_an_inflated_dim_mod_p(monkeypatch):
+    # at p = 3 = |G| an-nonsplit's rotation reduces to a unipotent matrix,
+    # with more invariants at degrees 1, 4, 7 and 10; Molien refuses
+    # those, and the exact spaces decide
+    g = corpus.load_corpus_group("an-nonsplit.group")
+    reduction = fields.degree_one_reduction
+    monkeypatch.setattr(invariants, "degree_one_reduction",
+                        lambda spec, reps, skip=1: reduction(spec, reps))
+    exact = _traced_spaces(monkeypatch)
+    assert hilbert_dims(g, 12).dims == (1, 0, 1, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5)
+    assert exact == [1, 4, 7, 10]
+
+
+def test_hilbert_dims_over_a_finite_field_never_reduce(monkeypatch):
+    exact = _traced_spaces(monkeypatch)
+    for name in ("char2.group", "po3diag.group"):
+        g = corpus.load_corpus_group(name)
+        assert fields.degree_one_reduction(g.spec, [], g.order) is None
+        assert len(hilbert_dims(g, 4)) == 5
+    assert exact == [0, 1, 2, 3, 4] * 2
 
 
 def test_molien_matches_hilbert_cross_oracle():
